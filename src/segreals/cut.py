@@ -18,6 +18,7 @@ answer the library gives is exact about its own uncertainty.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -103,11 +104,10 @@ class Cut:
     only ever semidecidable and is deliberately not spelled __eq__.
     """
 
-    __slots__ = ("_cache", "_sep")
+    __slots__ = ("_cache",)
 
     def __init__(self) -> None:
         self._cache: dict = {}
-        self._sep = None  # separation precision, used by Difference only
 
     def __add__(self, other: Cut) -> Cut:
         return add(self, other)
@@ -128,6 +128,10 @@ class RationalCut(Cut):
         super().__init__()
         self.bound = bound
 
+    def largest_member_numerator(self, den: int) -> int:
+        """The largest integer y with y/den a member: y*b.den < b.num*den."""
+        return (self.bound.num * den - 1) // self.bound.den
+
 
 class RootCut(Cut):
     """All positive rationals whose k-th power is below the radicand."""
@@ -138,6 +142,11 @@ class RootCut(Cut):
         super().__init__()
         self.degree = degree
         self.radicand = radicand
+
+    def largest_member_numerator(self, den: int) -> int:
+        """The largest integer y with y/den a member: y^k*r.den < r.num*den^k."""
+        r = self.radicand
+        return _iroot((r.num * den ** self.degree - 1) // r.den, self.degree)
 
 
 class OracleCut(Cut):
@@ -199,12 +208,13 @@ class Difference(Cut):
     the failure of that premise as budget exhaustion, never silently.
     """
 
-    __slots__ = ("lower", "upper")
+    __slots__ = ("lower", "upper", "_sep")
 
     def __init__(self, lower: Cut, upper: Cut) -> None:
         super().__init__()
         self.lower = lower
         self.upper = upper
+        self._sep = None  # separation precision, found by the first bracket
 
 
 class SupFinite(Cut):
@@ -215,9 +225,6 @@ class SupFinite(Cut):
     def __init__(self, members: tuple[Cut, ...]) -> None:
         super().__init__()
         self.members = members
-
-
-_LEAF_TYPES = (RationalCut, RootCut, OracleCut)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +365,13 @@ def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
     """A certified enclosure of width at most 1/n.
 
     Returns (lo, hi) with lo a member of a, hi a non-member, and
-    hi - lo <= 1/n.  Composite cuts recurse structurally; each node
-    memoises its answers per precision, so shared subtrees are bracketed
-    once.  `budget` caps the precision denominator reached while
-    separating the operands of a difference; when it runs out,
-    PrecisionBudgetExhausted propagates.
+    hi - lo <= 1/n.  Rational and root leaves are bracketed in closed
+    form, on the same dyadic grid over their witnesses that bisection
+    would walk; oracle leaves are bisected.  Composite cuts recurse
+    structurally; each node memoises its answers per precision, so
+    shared subtrees are bracketed once.  `budget` caps the precision
+    denominator reached while separating the operands of a difference;
+    when it runs out, PrecisionBudgetExhausted propagates.
     """
     if n < 1:
         raise ValueError(f"precision denominator must be >= 1, got {n}")
@@ -377,9 +386,16 @@ def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
 
 
 def _bracket_fresh(a: Cut, n: int, budget: int) -> Bracket:
-    if isinstance(a, _LEAF_TYPES):
-        lo, hi = _leaf_witnesses(a)
-        return _bisect(a, lo, hi, n)
+    """Compute a's bracket at precision n, without consulting a's cache.
+
+    Rational and root leaves know their value, so `_grid_bracket` finds
+    in closed form the bracket that bisecting from their witnesses would
+    end on.  Oracle leaves have only their predicate and are bisected.
+    """
+    if isinstance(a, (RationalCut, RootCut)):
+        return _grid_bracket(a, *_leaf_witnesses(a), n)
+    if isinstance(a, OracleCut):
+        return _bisect(a, *_leaf_witnesses(a), n)
 
     if isinstance(a, Sum):
         # widths add, so ask each operand for half the tolerance
@@ -419,6 +435,43 @@ def _bisect(a: Cut, lo: PosRational, hi: PosRational, n: int) -> Bracket:
         else:
             hi = mid
     return Bracket(lo, hi)
+
+
+def _grid_bracket(a: RationalCut | RootCut, lo: PosRational, hi: PosRational,
+                  n: int) -> Bracket:
+    """The bracket `_bisect(a, lo, hi, n)` returns, found without a search.
+
+    Bisection halves the gap k times, for the fewest k that brings it
+    under 1/n, and always keeps a cell of the level-k dyadic grid over
+    [lo, hi]: the unique cell whose left end is a member and whose right
+    end is not.  On the common denominator `grid` the grid points are
+    base + j*step, and the leaf names the largest member numerator over
+    `grid` directly, so one integer division picks the cell.
+    """
+    den = math.lcm(lo.den, hi.den)
+    base = lo.num * (den // lo.den)
+    step = hi.num * (den // hi.den) - base
+    k = (-(-step * n // den) - 1).bit_length()  # 2^k >= ceil(gap * n)
+    grid = den << k
+    base <<= k
+    j = (a.largest_member_numerator(grid) - base) // step
+    return Bracket(PosRational(base + j * step, grid),
+                   PosRational(base + (j + 1) * step, grid))
+
+
+def _iroot(t: int, d: int) -> int:
+    """floor(t ** (1/d)) for t >= 0, in exact integer arithmetic."""
+    if t < 2:
+        return t
+    if d == 2:
+        return math.isqrt(t)
+    # integer Newton from an overestimate decreases onto the floor root
+    x = 1 << -(-t.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + t // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
 
 def _clamp(fine: Bracket, coarse: Bracket) -> Bracket:
@@ -482,30 +535,6 @@ def _bracket_difference(a: Difference, n: int, budget: int) -> Bracket:
     # fb.lo - fa.hi is a genuine member: upper-member minus lower-non-member,
     # positive thanks to the separation; fb.hi - fa.lo dominates every member
     return Bracket(fb.lo - fa.hi, fb.hi - fa.lo)
-
-
-def bracket_stepwise(a: Cut, n: int) -> Bracket:
-    """Leaf bracketing by linear stepping instead of bisection.
-
-    Splits the gap between the witnesses into more than n * gap equal
-    steps and walks up until the first step outside the set.  Costs a
-    number of membership tests linear in n, so it is only a cross-check
-    for the bisecting `bracket`, not a replacement.
-    """
-    if n < 1:
-        raise ValueError(f"precision denominator must be >= 1, got {n}")
-    x0, y0 = _leaf_witnesses(a)
-    gap = y0 - x0
-    k = archimedean_bound(PosRational(n) * gap)
-    step = gap / PosRational(k)
-    prev = x0
-    for _ in range(k):
-        cand = prev + step
-        if not membership_leaf(a, cand):
-            return Bracket(prev, cand)
-        prev = cand
-    # the final step reaches y0, a non-member, so we cannot get here
-    raise AssertionError("stepping ran past the outside witness")
 
 
 def ratio_refine(a: Cut, m: int, budget: int | None = None) -> Bracket:

@@ -14,7 +14,9 @@ literals plus k-th roots of positive rational literals.
     radicand := "-"? rational       # sign rejected with DomainError
     nat      := [0-9]+
 
-Whitespace never matters.  "1/2" and "1 / 2" are both the literal
+Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
+deeper input is a ParseError at the first sign or parenthesis past the
+limit.  Whitespace never matters.  "1/2" and "1 / 2" are both the literal
 one-half; a zero denominator is the one case where "/" falls through to
 division, so "1/0" is division by the literal zero and fails at
 evaluation time (no nonzero certificate), not at parse time.
@@ -42,6 +44,10 @@ CONFIG_FILE = "reals.toml"
 ENV_BUDGET = "REALS_BUDGET"
 DEFAULT_DIGITS = 10
 DEFAULT_COMPARE_PRECISION = 10 ** 6
+# Deepest nesting of parentheses and unary minus signs the parser accepts.
+# The parser and evaluator recurse once or more per level, so this keeps
+# both far inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -138,9 +144,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -161,10 +167,29 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _int(tok: _Token) -> int:
+    """The value of an "int" token.
+
+    int() accepts every run of decimal digits, so only the interpreter's
+    cap on the digits of one conversion can reject it.
+    """
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                         tok.offset) from None
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs around pos
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -207,8 +232,10 @@ class _Parser:
 
     def factor(self) -> Expr:
         if self.peek().kind == "-":
-            self.take()
-            return Neg(self.factor())
+            self.nest(self.take())
+            e = Neg(self.factor())
+            self.depth -= 1
+            return e
         return self.primary()
 
     def primary(self) -> Expr:
@@ -218,22 +245,22 @@ class _Parser:
         if tok.kind == "name":
             return self.root_form()
         if tok.kind == "(":
-            self.take()
+            self.nest(self.take())
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
                          tok.offset)
 
     def rational(self) -> SignedRational:
-        whole = self.expect("int")
-        num = int(whole.text)
+        num = _int(self.expect("int"))
         # absorb "/ nat" into the literal unless the denominator is the
         # literal 0, which stays behind as a division
         if self.peek().kind == "/" and self.peek(1).kind == "int" \
-                and int(self.peek(1).text) > 0:
+                and _int(self.peek(1)) > 0:
             self.take()
-            den = int(self.take().text)
+            den = _int(self.take())
             return SignedRational.from_fraction(Fraction(num, den))
         return SignedRational.from_int(num)
 
@@ -248,11 +275,11 @@ class _Parser:
             raise ParseError(
                 f"expected a rational literal, found {start.text or 'end of input'!r}",
                 start.offset)
-        num = int(self.take().text)
+        num = _int(self.take())
         den = 1
         if self.peek().kind == "/":
             self.take()
-            den = int(self.expect("int").text)
+            den = _int(self.expect("int"))
         if negative or num == 0 or den == 0:
             raise DomainError("root radicand must be a positive rational literal",
                               tok.offset)
@@ -268,7 +295,7 @@ class _Parser:
         if name.text == "root":
             self.expect("(")
             deg_tok = self.expect("int")
-            degree = int(deg_tok.text)
+            degree = _int(deg_tok)
             self.expect(",")
             rad = self.radicand()
             self.expect(")")
@@ -377,15 +404,23 @@ def _load_config() -> dict:
 
 
 def _resolve_budget(flag: int | None, config: dict) -> int | None:
-    if flag is not None:
-        return flag
+    """--budget, else $REALS_BUDGET, else reals.toml; None when none is set.
+
+    A budget below 1 leaves no precision to separate at, so it is
+    rejected here, naming where it came from.
+    """
+    budget, source = flag, "--budget"
     env = os.environ.get(ENV_BUDGET)
-    if env is not None:
+    if budget is None and env is not None:
         try:
-            return int(env)
+            budget, source = int(env), ENV_BUDGET
         except ValueError:
             pass
-    return config.get("budget")
+    if budget is None:
+        budget, source = config.get("budget"), f"budget in {CONFIG_FILE}"
+    if budget is not None and budget < 1:
+        raise ValueError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -420,9 +455,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse already printed the diagnostic
         return int(exit_.code or 0)
     config = _load_config()
-    budget = _resolve_budget(args.budget, config)
 
     try:
+        budget = _resolve_budget(args.budget, config)
         if args.command == "eval":
             expr = parse(args.expression)
             if args.interval is not None:

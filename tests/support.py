@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from segreals import Bracket, Cut, PosRational, cli_main, oracle_cut, root_cut, s_r
 from segreals.approx import SignedInterval
-from segreals.cut import OracleCut, RationalCut, RootCut
+from segreals.cut import OracleCut, RationalCut, RootCut, _leaf_witnesses, membership_leaf
+from segreals.qpos import archimedean_bound
 
 
 def q(num: int, den: int = 1) -> PosRational:
@@ -50,6 +51,30 @@ def leaf_member_oracle(leaf: Cut, x: PosRational) -> bool:
     if isinstance(leaf, OracleCut):
         return bool(leaf.member(x))
     raise TypeError(f"not a leaf: {type(leaf).__name__}")
+
+
+def bracket_stepwise(a: Cut, n: int) -> Bracket:
+    """Leaf bracketing by linear stepping instead of bisection.
+
+    Splits the gap between the witnesses into more than n * gap equal
+    steps and walks up until the first step outside the set.  Costs a
+    number of membership tests linear in n, so it is only a cross-check
+    for `bracket`, not a replacement.
+    """
+    if n < 1:
+        raise ValueError(f"precision denominator must be >= 1, got {n}")
+    x0, y0 = _leaf_witnesses(a)
+    gap = y0 - x0
+    k = archimedean_bound(PosRational(n) * gap)
+    step = gap / PosRational(k)
+    prev = x0
+    for _ in range(k):
+        cand = prev + step
+        if not membership_leaf(a, cand):
+            return Bracket(prev, cand)
+        prev = cand
+    # the final step reaches y0, a non-member, so we cannot get here
+    raise AssertionError("stepping ran past the outside witness")
 
 
 def sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:

@@ -1,10 +1,11 @@
 """Cut layer: exact membership, certified brackets, and their algebra."""
 
+import math
 import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segreals import (
@@ -28,9 +29,16 @@ from segreals import (
     sup_finite,
     to_sexpr,
 )
-from segreals.cut import add, bracket_stepwise, compare, mul
+from segreals.cut import _bisect, _grid_bracket, _iroot, _leaf_witnesses, add, compare, mul
 
-from support import brackets_overlap, fr, leaf_member_oracle, q, straddles
+from support import (
+    bracket_stepwise,
+    brackets_overlap,
+    fr,
+    leaf_member_oracle,
+    q,
+    straddles,
+)
 
 small_rationals = st.builds(PosRational, st.integers(1, 40), st.integers(1, 40))
 rational_leaves = small_rationals.map(s_r)
@@ -158,6 +166,78 @@ class TestLeafBrackets:
         assert b.lo.num ** 2 < 2 * b.lo.den ** 2
         assert b.hi.num ** 2 >= 2 * b.hi.den ** 2
         assert fr(b.width) <= Fraction(1, 10 ** 6)
+
+
+def bisected(leaf, n):
+    """The reference: plain bisection from the leaf's witnesses."""
+    return _bisect(leaf, *_leaf_witnesses(leaf), n)
+
+
+wide_precisions = st.one_of(
+    st.integers(1, 10 ** 60),
+    st.sampled_from([1, 2, 3, 10 ** 6, 2 ** 64, 2 ** 64 + 1, 10 ** 60]),
+)
+
+
+class TestClosedFormLeaves:
+    """Rational and root leaves are bracketed without a search; the result
+    must be the very bracket bisection from the witnesses ends on."""
+
+    @given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12), wide_precisions)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_leaf_equals_bisection(self, num, den, n):
+        leaf = s_r(q(num, den))
+        assert bracket(leaf, n) == bisected(leaf, n)
+
+    @given(st.integers(2, 12), st.integers(1, 10 ** 9), st.integers(2, 10 ** 9),
+           wide_precisions)
+    @settings(max_examples=150, deadline=None)
+    def test_root_leaf_equals_bisection(self, degree, num, den, n):
+        radicand = q(num, den)
+        assume(radicand.den > 1)
+        assert bracket(root_cut(degree, radicand), n) \
+            == bisected(root_cut(degree, radicand), n)
+
+    @given(st.integers(2, 12), st.integers(1, 60), st.integers(2, 60), wide_precisions)
+    @settings(max_examples=100, deadline=None)
+    def test_perfect_power_root_equals_bisection(self, degree, p, s, n):
+        radicand = q(p ** degree, s ** degree)
+        assume(radicand.den > 1)
+        assert bracket(root_cut(degree, radicand), n) \
+            == bisected(root_cut(degree, radicand), n)
+
+    @pytest.mark.parametrize("degree, radicand, root, lo, hi", [
+        (2, q(4), q(2), q(1), q(3)),  # the root is the first midpoint
+        (3, q(8, 27), q(2, 3), q(1, 3), q(1)),
+        (5, q(1), q(1), q(1, 2), q(1)),  # the root is the outside witness
+    ])
+    @pytest.mark.parametrize("n", [2, 3, 10, 2 ** 20, 10 ** 60])
+    def test_root_on_the_grid_is_the_upper_end(self, degree, radicand, root, lo, hi, n):
+        # a root that is a grid point is not a member of its own cut, so
+        # bisection keeps it as hi; the closed form must do the same.  The
+        # chosen witnesses put the root on the grid at every level these
+        # precisions reach
+        leaf = root_cut(degree, radicand)
+        b = _grid_bracket(leaf, lo, hi, n)
+        assert b == _bisect(leaf, lo, hi, n)
+        assert b.hi == root
+        assert bracket(leaf, n) == bisected(root_cut(degree, radicand), n)
+        assert straddles(bracket(leaf, n), fr(root))
+        # the largest member numerator over a multiple of the root's
+        # denominator stops one short of the root
+        den = root.den * n
+        assert leaf.largest_member_numerator(den) == root.num * n - 1
+
+    def test_integer_root(self):
+        for t in range(200):
+            assert _iroot(t, 2) == math.isqrt(t)
+            for d in range(3, 13):
+                assert _iroot(t, d) == max(y for y in range(t + 1) if y ** d <= t)
+        for x in (2, 3, 10, 2 ** 40 + 1, 10 ** 30):
+            for d in range(2, 13):
+                assert _iroot(x ** d, d) == x
+                assert _iroot(x ** d - 1, d) == x - 1
+                assert _iroot(x ** d + 1, d) == x
 
 
 # ===========================================================================

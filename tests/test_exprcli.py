@@ -16,7 +16,7 @@ from segreals import (
     rational_interval,
     unparse,
 )
-from segreals.exprcli import Add, Div, Literal, Mul, Neg, Root, Sub
+from segreals.exprcli import MAX_NESTING, Add, Div, Literal, Mul, Neg, Root, Sub
 
 from support import fr, interval_contains, q, run_cli, sqrt_bounds
 
@@ -75,6 +75,7 @@ class TestParse:
         ("sqrt 2", 5),
         ("log(2)", 0),
         ("sqrt(2/3 + 1)", 9),
+        ("2\u00b2", 1),  # a superscript digit is not a decimal digit
     ])
     def test_syntax_errors_carry_offsets(self, text, offset):
         with pytest.raises(ParseError) as exc:
@@ -92,6 +93,29 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("")
+
+    @pytest.mark.parametrize("opener", ["(", "-", "-("])
+    def test_nesting_limit(self, opener):
+        def nested(levels):
+            return opener * levels + "1" + ")" * (opener.count("(") * levels)
+        assert parse(nested(MAX_NESTING // len(opener)))
+        with pytest.raises(ParseError) as exc:
+            parse(nested(MAX_NESTING + 1))
+        # the offset is that of the first sign or parenthesis past the limit
+        assert exc.value.offset == MAX_NESTING
+
+    @pytest.mark.parametrize("text, offset", [
+        ("1 + " + "7" * 5000, 4),
+        ("1/" + "7" * 5000, 2),
+        ("root(" + "7" * 5000 + ", 2)", 5),
+        ("sqrt(2/" + "7" * 5000 + ")", 7),
+    ])
+    def test_oversized_literal(self, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+        assert "too long" in str(exc.value)
+        assert "set_int_max_str_digits" not in str(exc.value)
 
 
 # a recursive strategy over syntax trees, for the round-trip law
@@ -249,6 +273,30 @@ class TestCli:
         assert code == 3 and out == ""
         assert "separation" in err or "budget" in err.lower() or "1/" in err
 
+    @pytest.mark.parametrize("depth", [1000, 1500])
+    def test_deep_nesting_exit(self, depth):
+        code, out, err = run_cli(["eval", "(" * depth + "1" + ")" * depth])
+        assert code == 2 and out == ""
+        assert "nesting" in err and f"offset {MAX_NESTING}" in err
+
+    def test_moderate_nesting_evaluates(self):
+        assert run_cli(["eval", "(" * 50 + "sqrt(2)" + ")" * 50, "--digits", "8"]) \
+            == (0, "1.41421356\n", "")
+        assert run_cli(["eval", "(1+" * 50 + "1" + ")" * 50, "--digits", "3"]) \
+            == (0, "51.000\n", "")
+
+    def test_oversized_literal_exit(self):
+        code, out, err = run_cli(["eval", "1 + " + "7" * 5000])
+        assert code == 2 and out == ""
+        assert "too long" in err and "offset 4" in err
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_budget_flag_below_one(self, value):
+        code, out, err = run_cli(["eval", "1/(1/3)", "--budget", value])
+        assert code == 2 and out == ""
+        assert "--budget" in err and value in err
+
     def test_unknown_flag_exit(self):
         code, out, err = run_cli(["eval", "2", "--frobnicate"])
         assert code == 2 and out == ""
@@ -282,6 +330,17 @@ class TestCliConfig:
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2"])
         assert code == 3 and out == ""
+
+    def test_config_budget_below_one(self, tmp_path, monkeypatch):
+        (tmp_path / "reals.toml").write_text("budget = 0\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2"])
+        assert code == 2 and out == "" and "budget in reals.toml" in err
+
+    def test_env_budget_below_one(self, monkeypatch):
+        monkeypatch.setenv("REALS_BUDGET", "0")
+        code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2"])
+        assert code == 2 and out == "" and "REALS_BUDGET" in err
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("REALS_BUDGET", "1")
