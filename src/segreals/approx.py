@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import cut
 from .embed import SignedRational
+from .qpos import int_str
 from .real import Real
 
 
@@ -108,4 +109,4 @@ def _format_scaled(units: int, digits: int) -> str:
     # `units` counts 10^-digits steps; render as fixed-point decimal
     sign = "-" if units < 0 else ""
     whole, frac = divmod(abs(units), 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{int_str(whole)}.{int_str(frac).rjust(digits, '0')}"

@@ -13,6 +13,15 @@ available observation is ``bracket(a, n)``: a pair of rationals
 ``hi - lo <= 1/n``.  Everything downstream (signs, comparisons, decimal
 printing) is phrased in terms of such certified enclosures, so every
 answer the library gives is exact about its own uncertainty.
+
+Each node kind brackets and renders itself: ``_fresh`` computes its
+bracket from its operands' brackets (or, on a leaf, from its witnesses)
+and ``repr`` is its s-expression.  ``bracket`` is the single entry
+point; it validates the precision and owns the per-node cache, and
+composite nodes recurse through it, never through each other's
+``_fresh``.  Leaf membership inside this module likewise goes through
+``membership_leaf``, so wrapping those two module attributes sees every
+bracket and every membership test.
 """
 
 from __future__ import annotations
@@ -97,11 +106,14 @@ class Cut:
     """Base class for cut expression nodes.
 
     Nodes are immutable once built; the only mutable state is a private
-    per-node bracket cache keyed by precision.  Cached values are pure
-    functions of the node, so concurrent readers at worst recompute the
-    same bracket and store identical results (dict updates are atomic).
-    Identity, not structure, is node equality: value equality of cuts is
-    only ever semidecidable and is deliberately not spelled __eq__.
+    per-node bracket cache keyed by precision, which `bracket` reads and
+    fills.  Each subclass supplies `_fresh(n, budget)`, its bracket at
+    precision n computed without the cache, and a `__repr__` giving its
+    s-expression.  Cached values are pure functions of the node, so
+    concurrent readers at worst recompute the same bracket and store
+    identical results (dict updates are atomic).  Identity, not
+    structure, is node equality: value equality of cuts is only ever
+    semidecidable and is deliberately not spelled __eq__.
     """
 
     __slots__ = ("_cache",)
@@ -115,11 +127,21 @@ class Cut:
     def __mul__(self, other: Cut) -> Cut:
         return mul(self, other)
 
-    def __repr__(self) -> str:
-        return to_sexpr(self)
+
+class Leaf(Cut):
+    """A cut with exact membership `contains(x)` and `witnesses()` in/out.
+
+    Bracketed in closed form on the dyadic grid over its witnesses
+    (`_grid_bracket`) unless the kind overrides `_fresh`.
+    """
+
+    __slots__ = ()
+
+    def _fresh(self, n: int, budget: int) -> Bracket:
+        return _grid_bracket(self, *self.witnesses(), n)
 
 
-class RationalCut(Cut):
+class RationalCut(Leaf):
     """All positive rationals strictly below a given one."""
 
     __slots__ = ("bound",)
@@ -128,12 +150,23 @@ class RationalCut(Cut):
         super().__init__()
         self.bound = bound
 
+    def contains(self, x: PosRational) -> bool:
+        return x < self.bound
+
+    def witnesses(self) -> tuple[PosRational, PosRational]:
+        r = self.bound
+        # mediant of r with the origin corner: always a member
+        return PosRational(r.num, r.den + 1), r
+
     def largest_member_numerator(self, den: int) -> int:
         """The largest integer y with y/den a member: y*b.den < b.num*den."""
         return (self.bound.num * den - 1) // self.bound.den
 
+    def __repr__(self) -> str:
+        return f"(s_r {self.bound})"
 
-class RootCut(Cut):
+
+class RootCut(Leaf):
     """All positive rationals whose k-th power is below the radicand."""
 
     __slots__ = ("degree", "radicand")
@@ -143,18 +176,38 @@ class RootCut(Cut):
         self.degree = degree
         self.radicand = radicand
 
+    def contains(self, x: PosRational) -> bool:
+        # x^k < r, cross-multiplied so only integers are compared
+        k, r = self.degree, self.radicand
+        return x.num ** k * r.den < x.den ** k * r.num
+
+    def witnesses(self) -> tuple[PosRational, PosRational]:
+        # half of min(1, r) always lands inside; halve further just in case
+        w_in = halve(ONE if ONE < self.radicand else self.radicand)
+        while not membership_leaf(self, w_in):
+            w_in = halve(w_in)
+        # 1 + num(r) overshoots the root for any degree >= 2; double to be sure
+        w_out = PosRational(1 + self.radicand.num)
+        while membership_leaf(self, w_out):
+            w_out = w_out + w_out
+        return w_in, w_out
+
     def largest_member_numerator(self, den: int) -> int:
         """The largest integer y with y/den a member: y^k*r.den < r.num*den^k."""
         r = self.radicand
         return _iroot((r.num * den ** self.degree - 1) // r.den, self.degree)
 
+    def __repr__(self) -> str:
+        return f"(root {self.degree} {self.radicand})"
 
-class OracleCut(Cut):
+
+class OracleCut(Leaf):
     """A leaf defined by a caller-supplied exact membership predicate.
 
     The predicate must describe a genuine initial segment: downward
     closed, no maximum, neither empty nor everything.  The library
-    cannot check that; it only spot-checks the two witnesses.
+    cannot check that; it only spot-checks the two witnesses.  Its
+    predicate is opaque, so it is bracketed by bisection.
     """
 
     __slots__ = ("member", "witness_in", "witness_out")
@@ -165,6 +218,18 @@ class OracleCut(Cut):
         self.member = member
         self.witness_in = witness_in
         self.witness_out = witness_out
+
+    def contains(self, x: PosRational) -> bool:
+        return bool(self.member(x))
+
+    def witnesses(self) -> tuple[PosRational, PosRational]:
+        return self.witness_in, self.witness_out
+
+    def _fresh(self, n: int, budget: int) -> Bracket:
+        return _bisect(self, *self.witnesses(), n)
+
+    def __repr__(self) -> str:
+        return f"(oracle {self.witness_in} {self.witness_out})"
 
 
 class Sum(Cut):
@@ -177,6 +242,15 @@ class Sum(Cut):
         self.left = left
         self.right = right
 
+    def _fresh(self, n: int, budget: int) -> Bracket:
+        # widths add, so ask each operand for half the tolerance
+        ba = bracket(self.left, 2 * n, budget)
+        bb = bracket(self.right, 2 * n, budget)
+        return Bracket(ba.lo + bb.lo, ba.hi + bb.hi)
+
+    def __repr__(self) -> str:
+        return f"(sum {self.left!r} {self.right!r})"
+
 
 class Product(Cut):
     """Pairwise products of members of the two operands."""
@@ -188,6 +262,19 @@ class Product(Cut):
         self.left = left
         self.right = right
 
+    def _fresh(self, n: int, budget: int) -> Bracket:
+        # magnitude first: hi_left + hi_right bounds the derivative of x*y on
+        # the enclosure, so refining both operands to ceil(n * M) suffices
+        ca = bracket(self.left, 1, budget)
+        cb = bracket(self.right, 1, budget)
+        m = max(n, ceil_int(PosRational(n) * (ca.hi + cb.hi)))
+        fa = _clamp(bracket(self.left, m, budget), ca)
+        fb = _clamp(bracket(self.right, m, budget), cb)
+        return Bracket(fa.lo * fb.lo, fa.hi * fb.hi)
+
+    def __repr__(self) -> str:
+        return f"(product {self.left!r} {self.right!r})"
+
 
 class Inverse(Cut):
     """Rationals lying below the reciprocal of some non-member."""
@@ -197,6 +284,25 @@ class Inverse(Cut):
     def __init__(self, operand: Cut) -> None:
         super().__init__()
         self.operand = operand
+
+    def _fresh(self, n: int, budget: int) -> Bracket:
+        coarse = bracket(self.operand, 1, budget)
+        x0 = coarse.lo
+        # 1/x - 1/y = (y - x)/(x*y) <= (y - x)/x0^2 once both endpoints sit
+        # above x0, so operand width x0^2/(2n) keeps the reciprocal gap under
+        # 1/(2n)
+        m = max(1, ceil_int(PosRational(2 * n * x0.den ** 2, x0.num ** 2)))
+        fine = _clamp(bracket(self.operand, m, budget), coarse)
+        x, y = fine.lo, fine.hi
+        hi = x.reciprocal()  # above every member of the inverse set
+        # a member: anything strictly below 1/y qualifies since y is outside
+        # the operand; shave 1/(y*(k+1)) <= 1/(2n) off the reciprocal
+        k = max(1, ceil_int(PosRational(2 * n * y.den, y.num)))
+        lo = y.reciprocal() * PosRational(k, k + 1)
+        return Bracket(lo, hi)
+
+    def __repr__(self) -> str:
+        return f"(inverse {self.operand!r})"
 
 
 class Difference(Cut):
@@ -216,6 +322,34 @@ class Difference(Cut):
         self.upper = upper
         self._sep = None  # separation precision, found by the first bracket
 
+    def _fresh(self, n: int, budget: int) -> Bracket:
+        t = self._sep
+        if t is None:
+            t = 1
+            while True:
+                ba = bracket(self.lower, t, budget)
+                bb = bracket(self.upper, t, budget)
+                if ba.hi < bb.lo:
+                    self._sep = t
+                    break
+                t *= 2
+                if t > budget:
+                    raise PrecisionBudgetExhausted(
+                        f"no separation between the operands down to width 1/{t // 2}; "
+                        f"their values may be equal")
+        else:
+            ba = bracket(self.lower, t, budget)
+            bb = bracket(self.upper, t, budget)
+        m = max(2 * n, t)
+        fa = _clamp(bracket(self.lower, m, budget), ba)
+        fb = _clamp(bracket(self.upper, m, budget), bb)
+        # fb.lo - fa.hi is a genuine member: upper-member minus lower-non-member,
+        # positive thanks to the separation; fb.hi - fa.lo dominates every member
+        return Bracket(fb.lo - fa.hi, fb.hi - fa.lo)
+
+    def __repr__(self) -> str:
+        return f"(difference {self.lower!r} {self.upper!r})"
+
 
 class SupFinite(Cut):
     """Union of finitely many cuts: the least upper bound of the family."""
@@ -225,6 +359,15 @@ class SupFinite(Cut):
     def __init__(self, members: tuple[Cut, ...]) -> None:
         super().__init__()
         self.members = members
+
+    def _fresh(self, n: int, budget: int) -> Bracket:
+        parts = [bracket(m, n, budget) for m in self.members]
+        # hi dominates every part's hi, so it is outside every member set;
+        # the width is at most the width of the part owning the largest hi
+        return Bracket(max(p.lo for p in parts), max(p.hi for p in parts))
+
+    def __repr__(self) -> str:
+        return f"(sup {' '.join(map(repr, self.members))})"
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +425,9 @@ def sup_finite(members: Iterable[Cut]) -> SupFinite:
 
 def membership_leaf(a: Cut, x: PosRational) -> bool:
     """Exact membership test, defined on leaves only."""
-    if isinstance(a, RationalCut):
-        return x < a.bound
-    if isinstance(a, RootCut):
-        # x^k < r, cross-multiplied so only integers are compared
-        return x.num ** a.degree * a.radicand.den < x.den ** a.degree * a.radicand.num
-    if isinstance(a, OracleCut):
-        return bool(a.member(x))
-    raise NotALeafError(f"membership is exact on leaves only, not {type(a).__name__}")
+    if not isinstance(a, Leaf):
+        raise NotALeafError(f"membership is exact on leaves only, not {type(a).__name__}")
+    return a.contains(x)
 
 
 def next_member_above(a: Cut, x: PosRational) -> PosRational:
@@ -302,7 +440,7 @@ def next_member_above(a: Cut, x: PosRational) -> PosRational:
     if isinstance(a, RootCut) and a.degree == 2 and a.radicand == _SQRT2:
         return _next_member_sqrt2(x)
     # generic leaf: bisect the gap down towards x until we land inside
-    hi = a.witness_out if isinstance(a, OracleCut) else _root_witness_out(a)
+    hi = a.witnesses()[1]
     while True:
         cand = halve(x + hi)
         if membership_leaf(a, cand):
@@ -329,34 +467,6 @@ def _next_member_sqrt2(x: PosRational) -> PosRational:
         n += 1  # unreachable by the index bound; kept as a guard
 
 
-def _root_witness_in(a: RootCut) -> PosRational:
-    # half of min(1, r) always lands inside; halve further just in case
-    w = halve(ONE if ONE < a.radicand else a.radicand)
-    while not membership_leaf(a, w):
-        w = halve(w)
-    return w
-
-
-def _root_witness_out(a: RootCut) -> PosRational:
-    # 1 + num(r) overshoots the root for any degree >= 2; double to be sure
-    w = PosRational(1 + a.radicand.num)
-    while membership_leaf(a, w):
-        w = w + w
-    return w
-
-
-def _leaf_witnesses(a: Cut) -> tuple[PosRational, PosRational]:
-    if isinstance(a, RationalCut):
-        r = a.bound
-        # mediant of r with the origin corner: always a member
-        return PosRational(r.num, r.den + 1), r
-    if isinstance(a, RootCut):
-        return _root_witness_in(a), _root_witness_out(a)
-    if isinstance(a, OracleCut):
-        return a.witness_in, a.witness_out
-    raise NotALeafError(f"witnesses exist on leaves only, not {type(a).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # bracketing
 
@@ -365,11 +475,13 @@ def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
     """A certified enclosure of width at most 1/n.
 
     Returns (lo, hi) with lo a member of a, hi a non-member, and
-    hi - lo <= 1/n.  Rational and root leaves are bracketed in closed
-    form, on the same dyadic grid over their witnesses that bisection
-    would walk; oracle leaves are bisected.  Composite cuts recurse
-    structurally; each node memoises its answers per precision, so
-    shared subtrees are bracketed once.  `budget` caps the precision
+    hi - lo <= 1/n.  This is the single entry point: it validates n,
+    serves repeated precisions from the node's cache, and otherwise asks
+    the node for a fresh bracket.  Rational and root leaves answer in
+    closed form, on the same dyadic grid over their witnesses that
+    bisection would walk; oracle leaves are bisected; composite nodes
+    recurse structurally through this function, so shared subtrees are
+    bracketed once per precision.  `budget` caps the precision
     denominator reached while separating the operands of a difference;
     when it runs out, PrecisionBudgetExhausted propagates.
     """
@@ -380,51 +492,12 @@ def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
     cached = a._cache.get(n)
     if cached is not None:
         return cached
-    result = _bracket_fresh(a, n, budget)
+    result = a._fresh(n, budget)
     a._cache[n] = result
     return result
 
 
-def _bracket_fresh(a: Cut, n: int, budget: int) -> Bracket:
-    """Compute a's bracket at precision n, without consulting a's cache.
-
-    Rational and root leaves know their value, so `_grid_bracket` finds
-    in closed form the bracket that bisecting from their witnesses would
-    end on.  Oracle leaves have only their predicate and are bisected.
-    """
-    if isinstance(a, (RationalCut, RootCut)):
-        return _grid_bracket(a, *_leaf_witnesses(a), n)
-    if isinstance(a, OracleCut):
-        return _bisect(a, *_leaf_witnesses(a), n)
-
-    if isinstance(a, Sum):
-        # widths add, so ask each operand for half the tolerance
-        ba = bracket(a.left, 2 * n, budget)
-        bb = bracket(a.right, 2 * n, budget)
-        return Bracket(ba.lo + bb.lo, ba.hi + bb.hi)
-
-    if isinstance(a, Product):
-        ba, bb = _refined_factors(a, n, budget)
-        return Bracket(ba.lo * bb.lo, ba.hi * bb.hi)
-
-    if isinstance(a, Inverse):
-        return _bracket_inverse(a, n, budget)
-
-    if isinstance(a, Difference):
-        return _bracket_difference(a, n, budget)
-
-    if isinstance(a, SupFinite):
-        parts = [bracket(m, n, budget) for m in a.members]
-        lo = max((p.lo for p in parts))
-        hi = max((p.hi for p in parts))
-        # hi dominates every part's hi, so it is outside every member set;
-        # the width is at most the width of the part owning the largest hi
-        return Bracket(lo, hi)
-
-    raise TypeError(f"cannot bracket {type(a).__name__}")
-
-
-def _bisect(a: Cut, lo: PosRational, hi: PosRational, n: int) -> Bracket:
+def _bisect(a: Leaf, lo: PosRational, hi: PosRational, n: int) -> Bracket:
     # exact bisection between a member and a non-member; each step keeps
     # the invariant lo in, hi out, and halves the gap
     tol = PosRational(1, n)
@@ -482,61 +555,6 @@ def _clamp(fine: Bracket, coarse: Bracket) -> Bracket:
     return Bracket(lo, hi)
 
 
-def _refined_factors(a: Product, n: int, budget: int) -> tuple[Bracket, Bracket]:
-    # magnitude first: hi_left + hi_right bounds the derivative of x*y on
-    # the enclosure, so refining both operands to ceil(n * M) suffices
-    ca = bracket(a.left, 1, budget)
-    cb = bracket(a.right, 1, budget)
-    mag = ca.hi + cb.hi
-    m = max(n, ceil_int(PosRational(n) * mag))
-    fa = _clamp(bracket(a.left, m, budget), ca)
-    fb = _clamp(bracket(a.right, m, budget), cb)
-    return fa, fb
-
-
-def _bracket_inverse(a: Inverse, n: int, budget: int) -> Bracket:
-    coarse = bracket(a.operand, 1, budget)
-    x0 = coarse.lo
-    # 1/x - 1/y = (y - x)/(x*y) <= (y - x)/x0^2 once both endpoints sit
-    # above x0, so operand width x0^2/(2n) keeps the reciprocal gap under
-    # 1/(2n)
-    m = max(1, ceil_int(PosRational(2 * n * x0.den ** 2, x0.num ** 2)))
-    fine = _clamp(bracket(a.operand, m, budget), coarse)
-    x, y = fine.lo, fine.hi
-    hi = x.reciprocal()  # above every member of the inverse set
-    # a member: anything strictly below 1/y qualifies since y is outside
-    # the operand; shave 1/(y*(k+1)) <= 1/(2n) off the reciprocal
-    k = max(1, ceil_int(PosRational(2 * n * y.den, y.num)))
-    lo = y.reciprocal() * PosRational(k, k + 1)
-    return Bracket(lo, hi)
-
-
-def _bracket_difference(a: Difference, n: int, budget: int) -> Bracket:
-    t = a._sep
-    if t is None:
-        t = 1
-        while True:
-            ba = bracket(a.lower, t, budget)
-            bb = bracket(a.upper, t, budget)
-            if ba.hi < bb.lo:
-                a._sep = t
-                break
-            t *= 2
-            if t > budget:
-                raise PrecisionBudgetExhausted(
-                    f"no separation between the operands down to width 1/{t // 2}; "
-                    f"their values may be equal")
-    else:
-        ba = bracket(a.lower, t, budget)
-        bb = bracket(a.upper, t, budget)
-    m = max(2 * n, t)
-    fa = _clamp(bracket(a.lower, m, budget), ba)
-    fb = _clamp(bracket(a.upper, m, budget), bb)
-    # fb.lo - fa.hi is a genuine member: upper-member minus lower-non-member,
-    # positive thanks to the separation; fb.hi - fa.lo dominates every member
-    return Bracket(fb.lo - fa.hi, fb.hi - fa.lo)
-
-
 def ratio_refine(a: Cut, m: int, budget: int | None = None) -> Bracket:
     """A bracket whose endpoints agree to a relative factor (m-1)/m.
 
@@ -569,27 +587,6 @@ def compare(a: Cut, b: Cut, n: int, budget: int | None = None) -> Comparison:
     return Comparison.OVERLAP
 
 
-# ---------------------------------------------------------------------------
-# debugging aid
-
-
 def to_sexpr(a: Cut) -> str:
     """A compact s-expression rendering of the cut's structure."""
-    if isinstance(a, RationalCut):
-        return f"(s_r {a.bound})"
-    if isinstance(a, RootCut):
-        return f"(root {a.degree} {a.radicand})"
-    if isinstance(a, OracleCut):
-        return f"(oracle {a.witness_in} {a.witness_out})"
-    if isinstance(a, Sum):
-        return f"(sum {to_sexpr(a.left)} {to_sexpr(a.right)})"
-    if isinstance(a, Product):
-        return f"(product {to_sexpr(a.left)} {to_sexpr(a.right)})"
-    if isinstance(a, Inverse):
-        return f"(inverse {to_sexpr(a.operand)})"
-    if isinstance(a, Difference):
-        return f"(difference {to_sexpr(a.lower)} {to_sexpr(a.upper)})"
-    if isinstance(a, SupFinite):
-        parts = " ".join(to_sexpr(m) for m in a.members)
-        return f"(sup {parts})"
-    raise TypeError(f"cannot serialise {type(a).__name__}")
+    return repr(a)

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from . import approx, cut, real
 from .embed import SignedRational, f_embed, g_embed
+from .qpos import int_str
 from .real import Real, ZeroAtPrecision
 
 CONFIG_FILE = "reals.toml"
@@ -74,7 +75,7 @@ class ZeroDivisorAtPrecision(ArithmeticError):
     def __init__(self, precision: int) -> None:
         self.precision = precision
         super().__init__(
-            f"divisor not separable from zero at width 1/{precision}; "
+            f"divisor not separable from zero at width 1/{int_str(precision)}; "
             f"it may be exactly zero")
 
 
@@ -321,7 +322,7 @@ def unparse(e: Expr) -> str:
         v = e.value
         if v.sign == 0:
             return "0"
-        body = str(v.mag.num) if v.mag.den == 1 else f"{v.mag.num}/{v.mag.den}"
+        body = int_str(v.mag.num) if v.mag.den == 1 else str(v.mag)
         return body if v.sign > 0 else f"-{body}"
     if isinstance(e, Neg):
         return f"-({unparse(e.operand)})"
@@ -478,6 +479,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0
     except (ParseError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser is iterative, but evaluating and bracketing recurse
+        # once per tree level, so a long flat chain can still run out
+        print("error: expression is too deep to evaluate", file=sys.stderr)
         return 2
     except (ZeroDivisorAtPrecision, ZeroAtPrecision,
             cut.PrecisionBudgetExhausted) as exc:

@@ -46,7 +46,7 @@ class PosRational:
             object.__setattr__(self, "den", self.den // g)
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{int_str(self.num)}/{int_str(self.den)}"
 
     def __repr__(self) -> str:
         return f"PosRational({self.num}, {self.den})"
@@ -89,6 +89,29 @@ class PosRational:
 
     def __ge__(self, other: PosRational) -> bool:
         return other <= self
+
+
+# Digits per piece in `int_str`: below 640, the lowest int-to-str cap
+# CPython accepts (sys.set_int_max_str_digits), so no setting can refuse it.
+_PIECE_DIGITS = 600
+_PIECE = 10 ** _PIECE_DIGITS
+
+
+def int_str(v: int) -> str:
+    """The decimal digits of v, however many there are.
+
+    str() refuses integers longer than the interpreter's conversion cap
+    (4 300 digits by default).  Converting in pieces below the cap works
+    for every length and leaves the process-wide limit alone.
+    """
+    if v < 0:
+        return "-" + int_str(-v)
+    pieces = []
+    while v >= _PIECE:
+        v, low = divmod(v, _PIECE)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    pieces.append(str(v))
+    return "".join(reversed(pieces))
 
 
 ONE = PosRational(1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cut
-from .qpos import ONE, PosRational
+from .qpos import ONE, PosRational, int_str
 from .cut import Comparison, Cut
 
 
@@ -31,7 +31,7 @@ class ZeroAtPrecision(ArithmeticError):
     def __init__(self, precision: int, message: str | None = None) -> None:
         self.precision = precision
         super().__init__(message or
-                         f"not separable from zero at width 1/{precision}")
+                         f"not separable from zero at width 1/{int_str(precision)}")
 
 
 @dataclass(frozen=True)

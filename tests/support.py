@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from segreals import Bracket, Cut, PosRational, cli_main, oracle_cut, root_cut, s_r
 from segreals.approx import SignedInterval
-from segreals.cut import OracleCut, RationalCut, RootCut, _leaf_witnesses, membership_leaf
+from segreals.cut import OracleCut, RationalCut, RootCut, membership_leaf
 from segreals.qpos import archimedean_bound
 
 
@@ -63,7 +63,7 @@ def bracket_stepwise(a: Cut, n: int) -> Bracket:
     """
     if n < 1:
         raise ValueError(f"precision denominator must be >= 1, got {n}")
-    x0, y0 = _leaf_witnesses(a)
+    x0, y0 = a.witnesses()
     gap = y0 - x0
     k = archimedean_bound(PosRational(n) * gap)
     step = gap / PosRational(k)
@@ -75,6 +75,16 @@ def bracket_stepwise(a: Cut, n: int) -> Bracket:
         prev = cand
     # the final step reaches y0, a non-member, so we cannot get here
     raise AssertionError("stepping ran past the outside witness")
+
+
+def long_int(digits: str) -> int:
+    """int() of a decimal string of any length, read in pieces below the
+    interpreter's int-from-str cap rather than by raising the cap."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
 
 
 def sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:

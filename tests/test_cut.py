@@ -2,6 +2,7 @@
 
 import math
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from segreals import (
     sup_finite,
     to_sexpr,
 )
-from segreals.cut import _bisect, _grid_bracket, _iroot, _leaf_witnesses, add, compare, mul
+from segreals.cut import _bisect, _grid_bracket, _iroot, add, compare, mul
 
 from support import (
     bracket_stepwise,
@@ -170,7 +171,7 @@ class TestLeafBrackets:
 
 def bisected(leaf, n):
     """The reference: plain bisection from the leaf's witnesses."""
-    return _bisect(leaf, *_leaf_witnesses(leaf), n)
+    return _bisect(leaf, *leaf.witnesses(), n)
 
 
 wide_precisions = st.one_of(
@@ -473,6 +474,53 @@ class TestMemoisation:
             t.join()
         assert len(results) == 8
         assert all(b.lo == results[0].lo and b.hi == results[0].hi for b in results)
+
+
+class TestTraceHooks:
+    """Composite nodes recurse through the module attribute `cut.bracket`
+    and leaves are tested through `cut.membership_leaf`, so one wrapper on
+    each sees every bracket and every membership test.  Outside-in tracers
+    (perfbench/spans.py) rely on exactly that."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import segreals.cut as cut_module
+        brackets, tests = Counter(), Counter()
+        plain_bracket, plain_member = cut_module.bracket, cut_module.membership_leaf
+
+        def counting_bracket(a, n, budget=None):
+            brackets[type(a).__name__] += 1
+            return plain_bracket(a, n, budget)
+
+        def counting_member(a, x):
+            tests[type(a).__name__] += 1
+            return plain_member(a, x)
+
+        monkeypatch.setattr(cut_module, "bracket", counting_bracket)
+        monkeypatch.setattr(cut_module, "membership_leaf", counting_member)
+        return cut_module, brackets, tests
+
+    def test_every_kind_is_bracketed_through_the_module(self, counted):
+        cut_module, brackets, _ = counted
+        half, root = s_r(q(1, 2)), root_cut(2, q(2))
+        oracle = oracle_cut(lambda x: x < q(3, 2), q(1), q(2))
+        family = sup_finite([mul(root, oracle), difference(half, add(root, half))])
+        b = cut_module.bracket(add(inverse(family), half), 100)
+        assert fr(b.width) <= Fraction(1, 100)
+        assert set(brackets) == {"RationalCut", "RootCut", "OracleCut", "Sum", "Product",
+                                 "Inverse", "Difference", "SupFinite"}
+        # the top Sum is the only call made from outside the module
+        assert brackets["Sum"] >= 2
+
+    def test_leaf_membership_goes_through_the_module(self, counted):
+        cut_module, _, tests = counted
+        cut_module.bracket(oracle_cut(lambda x: x < q(3, 2), q(1), q(2)), 1000)
+        assert tests["OracleCut"] > 0
+        cut_module.bracket(root_cut(3, q(5, 2)), 1000)  # builds its witnesses
+        assert tests["RootCut"] > 0
+        before = tests["RootCut"]
+        next_member_above(root_cut(3, q(5, 2)), q(1))  # the generic climb
+        assert tests["RootCut"] > before
 
 
 class TestSexpr:

@@ -18,7 +18,7 @@ from segreals import (
 )
 from segreals.exprcli import MAX_NESTING, Add, Div, Literal, Mul, Neg, Root, Sub
 
-from support import fr, interval_contains, q, run_cli, sqrt_bounds
+from support import fr, interval_contains, long_int, q, run_cli, sqrt_bounds
 
 
 def lit(num, den=1):
@@ -148,6 +148,10 @@ class TestUnparse:
     def test_division_survives(self):
         tree = parse("(1)/2")
         assert parse(unparse(tree)) == tree
+
+    def test_long_literal_renders(self):
+        assert unparse(lit(10 ** 5000)) == "1" + "0" * 5000
+        assert unparse(lit(-1, 10 ** 5000)) == "-1/1" + "0" * 5000
 
     def test_fixed_corpus_round_trips(self):
         for text in ("sqrt(2) + 1/3", "1 - 2 - 3", "-(2/7) * root(4, 5)",
@@ -290,6 +294,42 @@ class TestCli:
         assert code == 2 and out == ""
         assert "too long" in err and "offset 4" in err
         assert "set_int_max_str_digits" not in err
+
+    def test_digits_past_the_int_conversion_cap(self):
+        assert run_cli(["eval", "1/3", "--digits", "5000"]) \
+            == (0, "0." + "3" * 5000 + "\n", "")
+        assert run_cli(["eval", "2/3", "--digits", "5000"]) \
+            == (0, "0." + "6" * 4999 + "7\n", "")
+        code, out, err = run_cli(["eval", "sqrt(2)", "--digits", "4400"])
+        assert code == 0 and err == ""
+        assert out.startswith("1.41421356") and len(out.strip().split(".")[1]) == 4400
+        lo, hi = sqrt_bounds(Fraction(2), 10 ** 4400)
+        # correctly rounded: the printed digits are floor or ceil of sqrt(2) * 10^4400
+        assert lo * 10 ** 4400 <= long_int(out.strip().replace(".", "")) <= hi * 10 ** 4400
+
+    def test_long_interval_and_diagnostic_endpoints(self):
+        big = "9" * 3000
+        code, out, err = run_cli(["eval", f"{big}*{big}", "--interval", "1/2"])
+        assert code == 0 and err == ""
+        lo, hi = (Fraction(*map(long_int, end.split("/")))
+                  for end in out.strip()[1:-1].split(", "))
+        assert lo <= (10 ** 3000 - 1) ** 2 <= hi and hi - lo <= Fraction(1, 2)
+        code, out, err = run_cli(["eval", "1/(1-1)", "--digits", "5000"])
+        assert code == 3 and out == "" and "zero" in err
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_long_flat_chain_exits_cleanly(self, command):
+        chain = "+".join(["1"] * 3000)
+        argv = ["eval", chain] if command == "eval" else ["compare", chain, "1"]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "recursion" not in err
+
+    def test_moderate_flat_chain_evaluates(self):
+        assert run_cli(["eval", "+".join(["1"] * 400), "--digits", "3"]) \
+            == (0, "400.000\n", "")
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_budget_flag_below_one(self, value):

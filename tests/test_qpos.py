@@ -14,9 +14,9 @@ from segreals import (
     archimedean_bound,
     mediant,
 )
-from segreals.qpos import ceil_int, compare, halve
+from segreals.qpos import ceil_int, compare, halve, int_str
 
-from support import fr, q
+from support import fr, long_int, q
 
 rationals = st.builds(PosRational, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
 
@@ -131,3 +131,26 @@ class TestCeil:
     def test_ceil_matches_fractions(self, a):
         import math
         assert ceil_int(a) == math.ceil(fr(a))
+
+
+class TestIntStr:
+    @given(st.integers(-10 ** 40, 10 ** 40))
+    def test_matches_str_below_the_cap(self, v):
+        assert int_str(v) == str(v)
+
+    @pytest.mark.parametrize("v, text", [
+        (10 ** 5000, "1" + "0" * 5000),
+        (10 ** 600 + 1, "1" + "0" * 599 + "1"),
+        (10 ** 600 - 1, "9" * 600),
+        (-(10 ** 9000 - 1), "-" + "9" * 9000),
+        (0, "0"),
+    ], ids=["power-of-ten", "piece-edge", "one-piece", "negative", "zero"])
+    def test_piece_boundaries(self, v, text):
+        assert int_str(v) == text
+
+    def test_round_trips_past_the_cap(self):
+        v = 7 ** 20000  # 16 902 digits
+        assert long_int(int_str(v)) == v
+
+    def test_rational_rendering_past_the_cap(self):
+        assert str(q(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"

@@ -215,6 +215,12 @@ class TestInv:
         with pytest.raises(ZeroAtPrecision):
             inv(zero(), 10)
 
+    def test_message_names_a_long_precision(self):
+        x = f_embed(root_cut(2, q(2)))
+        with pytest.raises(ZeroAtPrecision) as exc:
+            inv(sub(mul(x, x), as_real(Fraction(2))), 10 ** 5000)
+        assert str(exc.value).endswith("width 1/1" + "0" * 5000)
+
     def test_indistinguishable_raises_with_precision(self):
         x = f_embed(root_cut(2, q(2)))
         square_minus_two = sub(mul(x, x), as_real(Fraction(2)))
