@@ -12,33 +12,41 @@ as an explicit interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import cut
-from .embed import SignedRational
-from .qpos import int_str
+from .qpos import PosRational, int_str
 from .real import Real
 
 
 @dataclass(frozen=True, slots=True)
 class SignedInterval:
-    """A closed interval with exact signed rational endpoints."""
+    """A closed interval with exact signed rational endpoints.
 
-    lo: SignedRational
-    hi: SignedRational
+    Endpoints print as num/den even when whole (``0/1``, ``2/1``), and
+    through `int_str`, so they print at any length.
+    """
+
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self) -> None:
         if self.hi < self.lo:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+            raise ValueError(f"interval endpoints out of order: {self}")
 
     @property
-    def width(self) -> SignedRational:
+    def width(self) -> Fraction:
         return self.hi - self.lo
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{_ratio_str(self.lo)}, {_ratio_str(self.hi)}]"
 
-    def __contains__(self, value: SignedRational) -> bool:
-        return not (value < self.lo or self.hi < value)
+    def __contains__(self, value: Fraction) -> bool:
+        return self.lo <= value <= self.hi
+
+
+def _ratio_str(v: Fraction) -> str:
+    return f"{int_str(v.numerator)}/{int_str(v.denominator)}"
 
 
 def rational_interval(x: Real, n: int, budget: int | None = None) -> SignedInterval:
@@ -51,9 +59,7 @@ def rational_interval(x: Real, n: int, budget: int | None = None) -> SignedInter
         raise ValueError(f"precision denominator must be >= 1, got {n}")
     bp = cut.bracket(x.pos, 2 * n, budget)
     bm = cut.bracket(x.neg, 2 * n, budget)
-    lo = _signed(bp.lo) - _signed(bm.hi)
-    hi = _signed(bp.hi) - _signed(bm.lo)
-    return SignedInterval(lo, hi)
+    return SignedInterval(_minus(bp.lo, bm.hi), _minus(bp.hi, bm.lo))
 
 
 def decimal(x: Real, digits: int, budget: int | None = None) -> str:
@@ -68,7 +74,7 @@ def decimal(x: Real, digits: int, budget: int | None = None) -> str:
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     iv = rational_interval(x, 10 ** (digits + 2), budget)
-    if not (iv.lo.sign < 0 < iv.hi.sign):
+    if not (iv.lo < 0 < iv.hi):
         a = _round_half_up(iv.lo, digits)
         b = _round_half_up(iv.hi, digits)
         if a == b:
@@ -77,30 +83,28 @@ def decimal(x: Real, digits: int, budget: int | None = None) -> str:
             f"{_format_scaled(_round_ceil(iv.hi, digits), digits)}]")
 
 
-def _signed(r) -> SignedRational:
-    return SignedRational.from_pos(r)
+def _minus(a: PosRational, b: PosRational) -> Fraction:
+    return Fraction(a.num * b.den - b.num * a.den, a.den * b.den)
 
 
-def _as_scaled_pair(v: SignedRational, digits: int) -> tuple[int, int]:
+def _as_scaled_pair(v: Fraction, digits: int) -> tuple[int, int]:
     # v * 10^digits as an exact integer pair (numerator, denominator > 0)
-    if v.sign == 0:
-        return 0, 1
-    return v.sign * v.mag.num * 10 ** digits, v.mag.den
+    return v.numerator * 10 ** digits, v.denominator
 
 
-def _round_half_up(v: SignedRational, digits: int) -> int:
+def _round_half_up(v: Fraction, digits: int) -> int:
     # floor(v * 10^d + 1/2); monotone, so agreement of both interval ends
     # pins the rounding of everything between them
     t, q = _as_scaled_pair(v, digits)
     return (2 * t + q) // (2 * q)
 
 
-def _round_floor(v: SignedRational, digits: int) -> int:
+def _round_floor(v: Fraction, digits: int) -> int:
     t, q = _as_scaled_pair(v, digits)
     return t // q
 
 
-def _round_ceil(v: SignedRational, digits: int) -> int:
+def _round_ceil(v: Fraction, digits: int) -> int:
     t, q = _as_scaled_pair(v, digits)
     return -((-t) // q)
 

@@ -6,122 +6,29 @@ Three maps, each preserving the arithmetic it can express:
   turning rational sums and products into cut sums and products;
 * ``f_embed`` sends a positive cut A to the pair (A + S_1, S_1), the
   canonical way a magnitude becomes a signed real;
-* ``g_embed`` sends any signed rational to a pair of rational cuts.
-
-``SignedRational`` is the exact signed scalar these maps consume: a
-sign together with a positive magnitude, zero carrying no magnitude.
+* ``g_embed`` sends any signed rational, a ``Fraction`` or an ``int``,
+  to a pair of rational cuts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cut, real
 from .qpos import ONE, PosRational
-from .qpos import compare as qcompare
 from .cut import Cut
 from .real import Real
 
 
-@dataclass(frozen=True, slots=True)
 class SignedRational:
-    """A rational of any sign: -1, 0 or +1 times a positive magnitude.
+    """Not a type: signed rationals are ``fractions.Fraction``.
 
-    The magnitude is absent exactly for zero, so every value has one
-    representation and structural equality is value equality.
+    ``from_fraction`` is ``Fraction`` itself.  Its only caller is the
+    benchmark worker (``perfbench/worker.py``); the name goes with the
+    next change to the benchmark.
     """
 
-    sign: int
-    mag: PosRational | None = None
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if (self.sign == 0) != (self.mag is None):
-            raise ValueError("zero carries no magnitude, nonzero requires one")
-
-    @classmethod
-    def zero(cls) -> SignedRational:
-        return cls(0, None)
-
-    @classmethod
-    def from_pos(cls, mag: PosRational) -> SignedRational:
-        return cls(1, mag)
-
-    @classmethod
-    def from_neg(cls, mag: PosRational) -> SignedRational:
-        return cls(-1, mag)
-
-    @classmethod
-    def from_int(cls, i: int) -> SignedRational:
-        if i == 0:
-            return cls.zero()
-        return cls(1 if i > 0 else -1, PosRational(abs(i)))
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> SignedRational:
-        if f == 0:
-            return cls.zero()
-        sign = 1 if f > 0 else -1
-        return cls(sign, PosRational(abs(f.numerator), f.denominator))
-
-    def as_fraction(self) -> Fraction:
-        if self.sign == 0:
-            return Fraction(0)
-        return self.sign * self.mag.as_fraction()
-
-    def __str__(self) -> str:
-        if self.sign == 0:
-            return "0/1"
-        return f"{self.mag}" if self.sign > 0 else f"-{self.mag}"
-
-    def __neg__(self) -> SignedRational:
-        if self.sign == 0:
-            return self
-        return SignedRational(-self.sign, self.mag)
-
-    def __add__(self, other: SignedRational) -> SignedRational:
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign == other.sign:
-            return SignedRational(self.sign, self.mag + other.mag)
-        c = qcompare(self.mag, other.mag)
-        if c == 0:
-            return SignedRational.zero()
-        # opposite signs: the larger magnitude wins
-        if c > 0:
-            return SignedRational(self.sign, self.mag - other.mag)
-        return SignedRational(other.sign, other.mag - self.mag)
-
-    def __sub__(self, other: SignedRational) -> SignedRational:
-        return self + (-other)
-
-    def __mul__(self, other: SignedRational) -> SignedRational:
-        if self.sign == 0 or other.sign == 0:
-            return SignedRational.zero()
-        return SignedRational(self.sign * other.sign, self.mag * other.mag)
-
-    def compare(self, other: SignedRational) -> int:
-        if self.sign != other.sign:
-            return 1 if self.sign > other.sign else -1
-        if self.sign == 0:
-            return 0
-        return self.sign * qcompare(self.mag, other.mag)
-
-    def __lt__(self, other: SignedRational) -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: SignedRational) -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: SignedRational) -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: SignedRational) -> bool:
-        return self.compare(other) >= 0
+    from_fraction = staticmethod(Fraction)
 
 
 def phi(r: PosRational) -> Cut:
@@ -135,17 +42,17 @@ def f_embed(a: Cut) -> Real:
     return Real(cut.add(a, s1), s1)
 
 
-def g_embed(q: SignedRational) -> Real:
+def g_embed(q: Fraction | int) -> Real:
     """Any signed rational as a signed real built from rational cuts.
 
     A magnitude m lands at (S_{m+1}, S_1) or its mirror; zero shares a
     single S_1 node between the components so that downstream code can
     recognise it syntactically.
     """
-    if q.sign == 0:
+    if q == 0:
         return real.zero()
-    shifted = cut.s_r(q.mag + ONE)
+    shifted = cut.s_r(PosRational(abs(q.numerator) + q.denominator, q.denominator))
     s1 = cut.s_r(ONE)
-    if q.sign > 0:
+    if q > 0:
         return Real(shifted, s1)
     return Real(s1, shifted)

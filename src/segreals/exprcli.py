@@ -37,8 +37,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import approx, cut, real
-from .embed import SignedRational, f_embed, g_embed
-from .qpos import int_str
+from .embed import f_embed, g_embed
+from .qpos import PosRational, int_str
 from .real import Real, ZeroAtPrecision
 
 CONFIG_FILE = "reals.toml"
@@ -85,7 +85,7 @@ class ZeroDivisorAtPrecision(ArithmeticError):
 
 @dataclass(frozen=True)
 class Literal:
-    value: SignedRational
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -254,16 +254,16 @@ class _Parser:
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
                          tok.offset)
 
-    def rational(self) -> SignedRational:
+    def rational(self) -> Fraction:
         num = _int(self.expect("int"))
+        den = 1
         # absorb "/ nat" into the literal unless the denominator is the
         # literal 0, which stays behind as a division
         if self.peek().kind == "/" and self.peek(1).kind == "int" \
                 and _int(self.peek(1)) > 0:
             self.take()
             den = _int(self.take())
-            return SignedRational.from_fraction(Fraction(num, den))
-        return SignedRational.from_int(num)
+        return Fraction(num, den)
 
     def radicand(self) -> Literal:
         tok = self.peek()
@@ -284,7 +284,7 @@ class _Parser:
         if negative or num == 0 or den == 0:
             raise DomainError("root radicand must be a positive rational literal",
                               tok.offset)
-        return Literal(SignedRational.from_fraction(Fraction(num, den)))
+        return Literal(Fraction(num, den))
 
     def root_form(self) -> Expr:
         name = self.take()
@@ -320,10 +320,9 @@ def unparse(e: Expr) -> str:
     """
     if isinstance(e, Literal):
         v = e.value
-        if v.sign == 0:
-            return "0"
-        body = int_str(v.mag.num) if v.mag.den == 1 else str(v.mag)
-        return body if v.sign > 0 else f"-{body}"
+        if v.denominator == 1:
+            return int_str(v.numerator)
+        return f"{int_str(v.numerator)}/{int_str(v.denominator)}"
     if isinstance(e, Neg):
         return f"-({unparse(e.operand)})"
     if isinstance(e, Root):
@@ -358,11 +357,11 @@ def evaluate(e: Expr, n: int, budget: int | None = None) -> Real:
         return real.neg(evaluate(e.operand, n, budget))
     if isinstance(e, Root):
         v = e.radicand.value
-        if v.sign <= 0:
+        if v <= 0:
             raise DomainError("root radicand must be a positive rational literal")
         if e.degree < 2:
             raise DomainError(f"root degree must be at least 2, got {e.degree}")
-        return f_embed(cut.root_cut(e.degree, v.mag))
+        return f_embed(cut.root_cut(e.degree, PosRational(v.numerator, v.denominator)))
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
@@ -390,7 +389,11 @@ def _load_config() -> dict:
     path = Path(CONFIG_FILE)
     if not path.is_file():
         return settings
-    for line in path.read_text().splitlines():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {CONFIG_FILE}: {exc}") from None
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line or "=" not in line:
             continue
@@ -404,24 +407,25 @@ def _load_config() -> dict:
     return settings
 
 
-def _resolve_budget(flag: int | None, config: dict) -> int | None:
-    """--budget, else $REALS_BUDGET, else reals.toml; None when none is set.
+def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
+             default: int | None = None) -> int | None:
+    """--key, else $env (when given), else `key` in reals.toml, else default.
 
-    A budget below 1 leaves no precision to separate at, so it is
-    rejected here, naming where it came from.
+    A value below 1 leaves no precision to work at, so it is rejected
+    here, naming where it came from, before anything is computed from it.
     """
-    budget, source = flag, "--budget"
-    env = os.environ.get(ENV_BUDGET)
-    if budget is None and env is not None:
+    value, source = flag, f"--{key}"
+    env_value = os.environ.get(env) if env is not None else None
+    if value is None and env_value is not None:
         try:
-            budget, source = int(env), ENV_BUDGET
+            value, source = int(env_value), env
         except ValueError:
             pass
-    if budget is None:
-        budget, source = config.get("budget"), f"budget in {CONFIG_FILE}"
-    if budget is not None and budget < 1:
-        raise ValueError(f"{source} must be at least 1, got {budget}")
-    return budget
+    if value is None:
+        value, source = config.get(key, default), f"{key} in {CONFIG_FILE}"
+    if value is not None and value < 1:
+        raise ValueError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -455,10 +459,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = _build_argparser().parse_args(argv)
     except SystemExit as exit_:  # argparse already printed the diagnostic
         return int(exit_.code or 0)
-    config = _load_config()
 
     try:
-        budget = _resolve_budget(args.budget, config)
+        config = _load_config()
+        budget = _resolve("budget", args.budget, config, env=ENV_BUDGET)
         if args.command == "eval":
             expr = parse(args.expression)
             if args.interval is not None:
@@ -466,8 +470,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                 value = evaluate(expr, n, budget)
                 print(approx.rational_interval(value, n, budget))
             else:
-                digits = args.digits if args.digits is not None \
-                    else config.get("digits", DEFAULT_DIGITS)
+                digits = _resolve("digits", args.digits, config, default=DEFAULT_DIGITS)
                 value = evaluate(expr, 10 ** (digits + 2), budget)
                 print(approx.decimal(value, digits, budget))
         else:

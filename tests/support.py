@@ -25,8 +25,8 @@ def q(num: int, den: int = 1) -> PosRational:
 
 
 def fr(x) -> Fraction:
-    """Exact value of a PosRational or SignedRational as a Fraction."""
-    return x.as_fraction()
+    """Exact value of a PosRational, or of a Fraction itself, as a Fraction."""
+    return x if isinstance(x, Fraction) else x.as_fraction()
 
 
 def brackets_overlap(a: Bracket, b: Bracket) -> bool:
@@ -39,7 +39,7 @@ def straddles(b: Bracket, value: Fraction) -> bool:
 
 
 def interval_contains(iv: SignedInterval, value: Fraction) -> bool:
-    return fr(iv.lo) <= value <= fr(iv.hi)
+    return iv.lo <= value <= iv.hi
 
 
 def leaf_member_oracle(leaf: Cut, x: PosRational) -> bool:

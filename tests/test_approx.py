@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from segreals import (
     PosRational,
     SignedInterval,
-    SignedRational,
     decimal,
     f_embed,
     g_embed,
@@ -24,40 +23,36 @@ from support import fr, interval_contains, oracle_decimal, q, sqrt_bounds
 
 small_rationals = st.builds(PosRational, st.integers(1, 50), st.integers(1, 50))
 signed = st.one_of(
-    st.just(SignedRational.zero()),
-    small_rationals.map(SignedRational.from_pos),
-    small_rationals.map(SignedRational.from_neg),
+    st.just(Fraction(0)),
+    small_rationals.map(fr),
+    small_rationals.map(lambda r: -fr(r)),
 )
-
-
-def as_real(f: Fraction):
-    return g_embed(SignedRational.from_fraction(f))
 
 
 class TestRationalInterval:
     @given(signed, st.sampled_from([1, 10, 1000, 10 ** 5]))
     @settings(max_examples=60, deadline=None)
     def test_contains_value_within_width(self, a, n):
-        iv = rational_interval(as_real(fr(a)), n)
-        assert interval_contains(iv, fr(a))
-        assert fr(iv.width) <= Fraction(1, n)
+        iv = rational_interval(g_embed(a), n)
+        assert interval_contains(iv, a)
+        assert iv.width <= Fraction(1, n)
 
     @given(signed, st.sampled_from([1, 10, 100]))
     @settings(max_examples=40, deadline=None)
     def test_refinements_intersect(self, a, n):
-        x = as_real(fr(a))
+        x = g_embed(a)
         coarse, fine = rational_interval(x, n), rational_interval(x, 4 * n)
         assert not (coarse.hi < fine.lo or fine.hi < coarse.lo)
 
     def test_straddles_zero_for_exact_zero(self):
         iv = rational_interval(zero(), 1000)
-        assert fr(iv.lo) < 0 < fr(iv.hi)
+        assert iv.lo < 0 < iv.hi
 
     def test_sqrt2_against_isqrt_oracle(self):
         iv = rational_interval(f_embed(root_cut(2, q(2))), 10 ** 6)
         lo, hi = sqrt_bounds(Fraction(2), 10 ** 7)
-        assert fr(iv.lo) <= hi and lo <= fr(iv.hi)
-        assert fr(iv.width) <= Fraction(1, 10 ** 6)
+        assert iv.lo <= hi and lo <= iv.hi
+        assert iv.width <= Fraction(1, 10 ** 6)
 
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
@@ -67,40 +62,47 @@ class TestRationalInterval:
 class TestSignedInterval:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
-            SignedInterval(SignedRational.from_pos(q(2)),
-                           SignedRational.from_pos(q(1)))
+            SignedInterval(Fraction(2), Fraction(1))
 
     def test_contains_and_str(self):
-        iv = SignedInterval(SignedRational.from_neg(q(1, 3)),
-                            SignedRational.from_pos(q(1, 2)))
-        assert SignedRational.zero() in iv
-        assert SignedRational.from_pos(q(2)) not in iv
+        iv = SignedInterval(Fraction(-1, 3), Fraction(1, 2))
+        assert Fraction(0) in iv
+        assert Fraction(2) not in iv
         assert str(iv) == "[-1/3, 1/2]"
+
+    def test_endpoint_text_forms(self):
+        # whole endpoints keep their denominator, as --interval prints them
+        assert str(SignedInterval(Fraction(0), Fraction(2))) == "[0/1, 2/1]"
+        assert str(SignedInterval(Fraction(-3, 2), Fraction(0))) == "[-3/2, 0/1]"
+        # past the interpreter's 4300-digit int-to-str cap
+        big = Fraction(10 ** 5000 + 1, 3)
+        assert str(SignedInterval(-big, big)) == \
+            f"[-1{'0' * 4999}1/3, 1{'0' * 4999}1/3]"
 
 
 class TestDecimal:
     @given(signed, st.sampled_from([1, 3, 6]))
     @settings(max_examples=60, deadline=None)
     def test_certified_strings_match_the_oracle(self, a, digits):
-        got = decimal(as_real(fr(a)), digits)
-        scaled = fr(a) * 10 ** digits
+        got = decimal(g_embed(a), digits)
+        scaled = a * 10 ** digits
         tie_gap = abs(scaled + Fraction(1, 2) - round(scaled + Fraction(1, 2)))
-        if fr(a) != 0 and tie_gap > Fraction(1, 100):
-            assert got == oracle_decimal(fr(a), digits)
+        if a != 0 and tie_gap > Fraction(1, 100):
+            assert got == oracle_decimal(a, digits)
         else:
             # ties and zero may legitimately fall back to the interval form
             if got.startswith("["):
                 return
-            assert got == oracle_decimal(fr(a), digits)
+            assert got == oracle_decimal(a, digits)
 
     def test_pinned_quarter(self):
-        assert decimal(as_real(Fraction(1, 4)), 3) == "0.250"
+        assert decimal(g_embed(Fraction(1, 4)), 3) == "0.250"
 
     def test_negative_value(self):
-        assert decimal(as_real(Fraction(-1, 3)), 6) == "-0.333333"
+        assert decimal(g_embed(Fraction(-1, 3)), 6) == "-0.333333"
 
     def test_integer_value(self):
-        assert decimal(as_real(Fraction(12)), 2) == "12.00"
+        assert decimal(g_embed(Fraction(12)), 2) == "12.00"
 
     def test_sqrt2_eight_digits(self):
         # both ends of the oracle cell must round alike for the expected
@@ -113,7 +115,7 @@ class TestDecimal:
 
     def test_uncertifiable_zero_renders_as_interval(self):
         x = f_embed(root_cut(2, q(2)))
-        d = sub(mul(x, x), as_real(Fraction(2)))
+        d = sub(mul(x, x), g_embed(Fraction(2)))
         assert decimal(d, 6) == "[-0.000001, 0.000001]"
 
     def test_exact_zero_renders_as_interval(self):
@@ -123,12 +125,12 @@ class TestDecimal:
     def test_rounding_tie_falls_back_to_interval(self):
         # 0.00015 sits exactly on the 4-digit rounding boundary; a plain
         # string would overstate what the enclosure knows
-        out = decimal(as_real(Fraction(3, 20000)), 4)
+        out = decimal(g_embed(Fraction(3, 20000)), 4)
         assert out == "[0.0001, 0.0002]"
 
     def test_interval_form_is_outward_rounded(self):
         # value 2/3: endpoints of any enclosure must be rendered outward
-        out = decimal(as_real(Fraction(2, 3)), 6)
+        out = decimal(g_embed(Fraction(2, 3)), 6)
         assert out == "0.666667"
 
     def test_rejects_bad_digit_count(self):
@@ -141,7 +143,7 @@ class TestScalingHelpers:
     def test_half_up_monotone(self, a, digits):
         from segreals.approx import _round_half_up
         v = a
-        w = a + SignedRational.from_pos(q(1, 997))
+        w = a + Fraction(1, 997)
         assert _round_half_up(v, digits) <= _round_half_up(w, digits)
 
     @given(signed, st.integers(1, 8))
@@ -150,7 +152,7 @@ class TestScalingHelpers:
         lo = _round_floor(a, digits)
         hi = _round_ceil(a, digits)
         assert lo <= _round_half_up(a, digits) <= hi + 1
-        assert Fraction(lo, 10 ** digits) <= fr(a) <= Fraction(hi, 10 ** digits)
+        assert Fraction(lo, 10 ** digits) <= a <= Fraction(hi, 10 ** digits)
 
     def test_format_scaled(self):
         from segreals.approx import _format_scaled

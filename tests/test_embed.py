@@ -1,15 +1,13 @@
-"""Embeddings: signed scalars and the maps into cuts and reals."""
+"""Embeddings: the maps of rationals into cuts and reals."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segreals import (
     Comparison,
     PosRational,
-    SignedRational,
     bracket,
     f_embed,
     g_embed,
@@ -29,60 +27,10 @@ from support import brackets_overlap, fr, interval_contains, q, straddles
 
 small_rationals = st.builds(PosRational, st.integers(1, 30), st.integers(1, 30))
 signed = st.one_of(
-    st.just(SignedRational.zero()),
-    small_rationals.map(SignedRational.from_pos),
-    small_rationals.map(SignedRational.from_neg),
+    st.just(Fraction(0)),
+    small_rationals.map(fr),
+    small_rationals.map(lambda r: -fr(r)),
 )
-
-
-class TestSignedRational:
-    @given(signed, signed)
-    def test_add_matches_fractions(self, a, b):
-        assert fr(a + b) == fr(a) + fr(b)
-
-    @given(signed, signed)
-    def test_sub_matches_fractions(self, a, b):
-        assert fr(a - b) == fr(a) - fr(b)
-
-    @given(signed, signed)
-    def test_mul_matches_fractions(self, a, b):
-        assert fr(a * b) == fr(a) * fr(b)
-
-    @given(signed)
-    def test_neg_matches_fractions(self, a):
-        assert fr(-a) == -fr(a)
-
-    @given(signed, signed)
-    def test_order_matches_fractions(self, a, b):
-        assert (a < b) == (fr(a) < fr(b))
-        assert (a <= b) == (fr(a) <= fr(b))
-        assert a.compare(b) == (fr(a) > fr(b)) - (fr(a) < fr(b))
-
-    @given(signed)
-    def test_fraction_round_trip(self, a):
-        assert SignedRational.from_fraction(fr(a)) == a
-
-    def test_from_int(self):
-        assert SignedRational.from_int(0) == SignedRational.zero()
-        assert fr(SignedRational.from_int(-7)) == -7
-        assert fr(SignedRational.from_int(3)) == 3
-
-    def test_canonical_zero(self):
-        assert (SignedRational.from_pos(q(2)) - SignedRational.from_pos(q(2))
-                ) == SignedRational.zero()
-
-    def test_text_forms(self):
-        assert str(SignedRational.from_pos(q(3, 2))) == "3/2"
-        assert str(SignedRational.from_neg(q(3, 2))) == "-3/2"
-        assert str(SignedRational.zero()) == "0/1"
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SignedRational(2, q(1))
-        with pytest.raises(ValueError):
-            SignedRational(0, q(1))
-        with pytest.raises(ValueError):
-            SignedRational(1, None)
 
 
 class TestPhi:
@@ -134,7 +82,7 @@ class TestFEmbed:
     def test_carries_irrationals(self):
         x = f_embed(root_cut(2, q(2)))
         iv = rational_interval(x, 10 ** 6)
-        assert fr(iv.lo) ** 2 < 2 < fr(iv.hi) ** 2
+        assert iv.lo ** 2 < 2 < iv.hi ** 2
 
     @given(small_rationals, small_rationals)
     @settings(max_examples=40, deadline=None)
@@ -152,34 +100,42 @@ class TestGEmbed:
     def test_ring_homomorphism_on_sums(self, a, b, n):
         lhs = rational_interval(radd(g_embed(a), g_embed(b)), n)
         rhs = rational_interval(g_embed(a + b), n)
-        assert interval_contains(lhs, fr(a) + fr(b))
-        assert interval_contains(rhs, fr(a) + fr(b))
+        assert interval_contains(lhs, a + b)
+        assert interval_contains(rhs, a + b)
         assert not (lhs.hi < rhs.lo or rhs.hi < lhs.lo)
 
     @given(signed, signed)
     @settings(max_examples=40, deadline=None)
     def test_ring_homomorphism_on_products(self, a, b):
         lhs = rational_interval(rmul(g_embed(a), g_embed(b)), 10 ** 4)
-        assert interval_contains(lhs, fr(a) * fr(b))
+        assert interval_contains(lhs, a * b)
 
     def test_zero_lands_on_syntactic_zero(self):
-        x = g_embed(SignedRational.zero())
+        x = g_embed(Fraction(0))
         assert x.pos is x.neg
         assert interval_contains(rational_interval(x, 100), Fraction(0))
 
     def test_negative_mirrors_positive(self):
-        plus = g_embed(SignedRational.from_pos(q(5, 3)))
-        minus = g_embed(SignedRational.from_neg(q(5, 3)))
+        plus = g_embed(Fraction(5, 3))
+        minus = g_embed(Fraction(-5, 3))
         assert interval_contains(rational_interval(plus, 1000), Fraction(5, 3))
         assert interval_contains(rational_interval(minus, 1000), Fraction(-5, 3))
+
+    def test_int_and_fraction_agree(self):
+        for v in (3, -3, 0):
+            x, y = g_embed(v), g_embed(Fraction(v))
+            for n in (1, 100, 10 ** 6):
+                assert rational_interval(x, n) == rational_interval(y, n)
+        z = g_embed(0)
+        assert z.pos is z.neg
 
     @given(signed, signed)
     @settings(max_examples=60, deadline=None)
     def test_isotone(self, a, b):
-        if fr(a) == fr(b):
+        if a == b:
             return
         lo, hi = (a, b) if a < b else (b, a)
-        n = int(4 / (fr(hi) - fr(lo))) + 1
+        n = int(4 / (hi - lo)) + 1
         assert less_than(g_embed(lo), g_embed(hi), n) is Comparison.LESS
 
 
@@ -188,7 +144,7 @@ class TestCompatibility:
     @settings(max_examples=40, deadline=None)
     def test_f_after_phi_agrees_with_g(self, r, n):
         via_f = rational_interval(f_embed(phi(r)), n)
-        via_g = rational_interval(g_embed(SignedRational.from_pos(r)), n)
+        via_g = rational_interval(g_embed(fr(r)), n)
         assert interval_contains(via_f, fr(r))
         assert interval_contains(via_g, fr(r))
         assert not (via_f.hi < via_g.lo or via_g.hi < via_f.lo)

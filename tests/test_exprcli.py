@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from segreals import (
     DomainError,
     ParseError,
-    SignedRational,
     ZeroDivisorAtPrecision,
     evaluate,
     parse,
@@ -22,7 +21,7 @@ from support import fr, interval_contains, long_int, q, run_cli, sqrt_bounds
 
 
 def lit(num, den=1):
-    return Literal(SignedRational.from_fraction(Fraction(num, den)))
+    return Literal(Fraction(num, den))
 
 
 class TestParse:
@@ -30,8 +29,8 @@ class TestParse:
         assert parse("2") == lit(2)
         assert parse("3/4") == lit(3, 4)
         assert parse("6/4") == lit(3, 2)  # stored reduced
-        assert parse("0") == Literal(SignedRational.zero())
-        assert parse("0/5") == Literal(SignedRational.zero())
+        assert parse("0") == lit(0)
+        assert parse("0/5") == lit(0)
 
     def test_whitespace_never_matters(self):
         assert parse("1 / 2") == parse("1/2") == lit(1, 2)
@@ -59,7 +58,7 @@ class TestParse:
         assert parse("1 - -2") == Sub(lit(1), Neg(lit(2)))
 
     def test_zero_denominator_stays_a_division(self):
-        assert parse("1/0") == Div(lit(1), Literal(SignedRational.zero()))
+        assert parse("1/0") == Div(lit(1), lit(0))
 
     def test_root_forms(self):
         assert parse("sqrt(2)") == Root(2, lit(2))
@@ -120,7 +119,7 @@ class TestParse:
 
 # a recursive strategy over syntax trees, for the round-trip law
 _literals = st.one_of(
-    st.just(Literal(SignedRational.zero())),
+    st.just(lit(0)),
     st.builds(lambda n, d: lit(n, d), st.integers(1, 99), st.integers(1, 99)),
 )
 _roots = st.builds(Root, st.integers(2, 5),
@@ -202,7 +201,9 @@ class TestEvaluate:
 
     def test_hand_built_root_validated(self):
         with pytest.raises(DomainError):
-            evaluate(Root(2, Literal(SignedRational.zero())), 10)
+            evaluate(Root(2, lit(0)), 10)
+        with pytest.raises(DomainError):
+            evaluate(Root(2, lit(-2)), 10)
         with pytest.raises(DomainError):
             evaluate(Root(1, lit(2)), 10)
 
@@ -350,8 +351,10 @@ class TestCli:
         assert code == 2 and out == ""
 
     def test_bad_digits_value(self):
-        code, out, err = run_cli(["eval", "2", "--digits", "0"])
-        assert code == 2 and out == ""
+        # rejected before the precision 10^(digits + 2) is computed from it
+        for value in ("0", "-3"):
+            assert run_cli(["eval", "1/(1-1)", "--digits", value]) == \
+                (2, "", f"error: --digits must be at least 1, got {value}\n")
 
 
 class TestCliConfig:
@@ -376,6 +379,23 @@ class TestCliConfig:
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2"])
         assert code == 2 and out == "" and "budget in reals.toml" in err
+
+    def test_config_digits_below_one(self, tmp_path, monkeypatch):
+        (tmp_path / "reals.toml").write_text("digits = 0\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["eval", "1/3"]) == \
+            (2, "", "error: digits in reals.toml must be at least 1, got 0\n")
+        # the file's digits are not used by --interval, so they are not checked
+        assert run_cli(["eval", "1/3", "--interval", "1/2"])[0] == 0
+
+    def test_undecodable_config(self, tmp_path, monkeypatch):
+        (tmp_path / "reals.toml").write_bytes(b"\xff\xfe")
+        monkeypatch.chdir(tmp_path)
+        for argv in (["eval", "1/3"], ["compare", "1", "2"]):
+            code, out, err = run_cli(argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: cannot read reals.toml: ")
+            assert err.count("\n") == 1
 
     def test_env_budget_below_one(self, monkeypatch):
         monkeypatch.setenv("REALS_BUDGET", "0")

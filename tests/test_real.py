@@ -33,20 +33,15 @@ from segreals import (
     zero,
 )
 from segreals.real import add, mul, neg, sub
-from segreals.embed import SignedRational
 
 from support import fr, interval_contains, q, straddles
 
 small_rationals = st.builds(PosRational, st.integers(1, 30), st.integers(1, 30))
 signed = st.one_of(
-    st.just(SignedRational.zero()),
-    small_rationals.map(SignedRational.from_pos),
-    small_rationals.map(SignedRational.from_neg),
+    st.just(Fraction(0)),
+    small_rationals.map(fr),
+    small_rationals.map(lambda r: -fr(r)),
 )
-
-
-def as_real(f: Fraction) -> Real:
-    return g_embed(SignedRational.from_fraction(f))
 
 
 def value_interval(x: Real, n: int = 10 ** 4):
@@ -57,25 +52,25 @@ class TestArithmetic:
     @given(signed, signed, st.sampled_from([100, 10 ** 4]))
     @settings(max_examples=50, deadline=None)
     def test_add_tracks_exact_values(self, a, b, n):
-        iv = rational_interval(add(as_real(fr(a)), as_real(fr(b))), n)
-        assert interval_contains(iv, fr(a) + fr(b))
-        assert fr(iv.width) <= Fraction(1, n)
+        iv = rational_interval(add(g_embed(a), g_embed(b)), n)
+        assert interval_contains(iv, a + b)
+        assert iv.width <= Fraction(1, n)
 
     @given(signed, signed, st.sampled_from([100, 10 ** 4]))
     @settings(max_examples=50, deadline=None)
     def test_mul_tracks_exact_values(self, a, b, n):
-        iv = rational_interval(mul(as_real(fr(a)), as_real(fr(b))), n)
-        assert interval_contains(iv, fr(a) * fr(b))
+        iv = rational_interval(mul(g_embed(a), g_embed(b)), n)
+        assert interval_contains(iv, a * b)
 
     @given(signed, signed)
     @settings(max_examples=50, deadline=None)
     def test_sub_tracks_exact_values(self, a, b):
-        iv = value_interval(sub(as_real(fr(a)), as_real(fr(b))))
-        assert interval_contains(iv, fr(a) - fr(b))
+        iv = value_interval(sub(g_embed(a), g_embed(b)))
+        assert interval_contains(iv, a - b)
 
     @given(signed)
     def test_neg_swaps_components(self, a):
-        x = as_real(fr(a))
+        x = g_embed(a)
         assert neg(x).pos is x.neg and neg(x).neg is x.pos
         back = -(-x)  # double negation restores the components
         assert back.pos is x.pos and back.neg is x.neg
@@ -83,11 +78,11 @@ class TestArithmetic:
     @given(signed)
     @settings(max_examples=40, deadline=None)
     def test_additive_inverse_law(self, a):
-        x = as_real(fr(a))
+        x = g_embed(a)
         assert interval_contains(value_interval(x + (-x)), Fraction(0))
 
     def test_operator_sugar(self):
-        x, y = as_real(Fraction(3, 2)), as_real(Fraction(-1, 3))
+        x, y = g_embed(Fraction(3, 2)), g_embed(Fraction(-1, 3))
         assert interval_contains(value_interval(x + y), Fraction(7, 6))
         assert interval_contains(value_interval(x - y), Fraction(11, 6))
         assert interval_contains(value_interval(x * y), Fraction(-1, 2))
@@ -122,46 +117,45 @@ class TestSign:
     @given(signed, st.sampled_from([10, 1000]))
     @settings(max_examples=50, deadline=None)
     def test_verdicts_match_exact_values(self, a, n):
-        verdict = sign(as_real(fr(a)), n)
+        verdict = sign(g_embed(a), n)
         if isinstance(verdict, Positive):
-            assert fr(a) > 0
+            assert a > 0
         elif isinstance(verdict, Negative):
-            assert fr(a) < 0
+            assert a < 0
         else:
-            assert abs(fr(a)) <= Fraction(2, n)
+            assert abs(a) <= Fraction(2, n)
 
     def test_irrational_gap_certifies_with_enough_precision(self):
         x = f_embed(root_cut(2, q(2)))  # sqrt(2)
-        d = sub(x, as_real(Fraction(7, 5)))  # about 0.0142 above zero
+        d = sub(x, g_embed(Fraction(7, 5)))  # about 0.0142 above zero
         assert isinstance(sign(d, 1000), Positive)
 
 
 class TestLessThan:
     def test_certified_order(self):
-        assert less_than(as_real(Fraction(1)), as_real(Fraction(2)), 10) \
+        assert less_than(g_embed(Fraction(1)), g_embed(Fraction(2)), 10) \
             is Comparison.LESS
-        assert less_than(as_real(Fraction(2)), as_real(Fraction(1)), 10) \
+        assert less_than(g_embed(Fraction(2)), g_embed(Fraction(1)), 10) \
             is Comparison.GREATER
 
     @given(signed, signed)
     @settings(max_examples=50, deadline=None)
     def test_sound_certificates(self, a, b):
-        fa, fb = fr(a), fr(b)
-        if fa == fb:
+        if a == b:
             return
-        n = int(4 / abs(fa - fb)) + 1
-        verdict = less_than(as_real(fa), as_real(fb), n)
-        assert verdict is (Comparison.LESS if fa < fb else Comparison.GREATER)
+        n = int(4 / abs(a - b)) + 1
+        verdict = less_than(g_embed(a), g_embed(b), n)
+        assert verdict is (Comparison.LESS if a < b else Comparison.GREATER)
 
     @given(signed, st.sampled_from([1, 10, 100]))
     @settings(max_examples=40, deadline=None)
     def test_self_comparison_overlaps(self, a, n):
-        assert less_than(as_real(fr(a)), as_real(fr(a)), n) is Comparison.OVERLAP
+        assert less_than(g_embed(a), g_embed(a), n) is Comparison.OVERLAP
 
     def test_order_respects_addition(self):
         # a < b certified, then a + c < b + c certified at the same precision
-        a, b, c = as_real(Fraction(1, 3)), as_real(Fraction(1, 2)), \
-            as_real(Fraction(-5, 7))
+        a, b, c = g_embed(Fraction(1, 3)), g_embed(Fraction(1, 2)), \
+            g_embed(Fraction(-5, 7))
         assert less_than(a, b, 100) is Comparison.LESS
         assert less_than(a + c, b + c, 100) is Comparison.LESS
 
@@ -190,19 +184,19 @@ class TestCanonicalize:
 
 class TestInv:
     def test_inverse_of_two_is_half(self):
-        iv = value_interval(inv(as_real(Fraction(2)), 10))
+        iv = value_interval(inv(g_embed(Fraction(2)), 10))
         assert interval_contains(iv, Fraction(1, 2))
 
     def test_inverse_of_negative_is_negative(self):
-        iv = value_interval(inv(as_real(Fraction(-4)), 10))
+        iv = value_interval(inv(g_embed(Fraction(-4)), 10))
         assert interval_contains(iv, Fraction(-1, 4))
 
     @given(signed, st.sampled_from([100, 10 ** 4]))
     @settings(max_examples=40, deadline=None)
     def test_multiplicative_inverse_law(self, a, n):
-        if fr(a) == 0 or abs(fr(a)) < Fraction(1, 50):
+        if a == 0 or abs(a) < Fraction(1, 50):
             return
-        x = as_real(fr(a))
+        x = g_embed(a)
         iv = rational_interval(mul(x, inv(x, 1000)), n)
         assert interval_contains(iv, Fraction(1))
 
@@ -218,12 +212,12 @@ class TestInv:
     def test_message_names_a_long_precision(self):
         x = f_embed(root_cut(2, q(2)))
         with pytest.raises(ZeroAtPrecision) as exc:
-            inv(sub(mul(x, x), as_real(Fraction(2))), 10 ** 5000)
+            inv(sub(mul(x, x), g_embed(Fraction(2))), 10 ** 5000)
         assert str(exc.value).endswith("width 1/1" + "0" * 5000)
 
     def test_indistinguishable_raises_with_precision(self):
         x = f_embed(root_cut(2, q(2)))
-        square_minus_two = sub(mul(x, x), as_real(Fraction(2)))
+        square_minus_two = sub(mul(x, x), g_embed(Fraction(2)))
         with pytest.raises(ZeroAtPrecision) as exc:
             inv(square_minus_two, 1000)
         assert exc.value.precision == 1000
@@ -231,7 +225,7 @@ class TestInv:
     def test_zero_product_needs_a_zero_factor(self):
         # certified nonzero product means both factors certify at some
         # finer precision
-        x, y = as_real(Fraction(1, 7)), as_real(Fraction(-3))
+        x, y = g_embed(Fraction(1, 7)), g_embed(Fraction(-3))
         assert isinstance(sign(mul(x, y), 100), Negative)
         assert isinstance(sign(x, 100), Positive)
         assert isinstance(sign(y, 100), Negative)
@@ -241,17 +235,17 @@ class TestGroupLaws:
     @given(signed, signed, signed, st.sampled_from([100, 10 ** 4]))
     @settings(max_examples=30, deadline=None)
     def test_add_assoc_and_comm(self, a, b, c, n):
-        x, y, z = as_real(fr(a)), as_real(fr(b)), as_real(fr(c))
+        x, y, z = g_embed(a), g_embed(b), g_embed(c)
         lhs = rational_interval((x + y) + z, n)
         rhs = rational_interval(x + (y + z), n)
         assert not (lhs.hi < rhs.lo or rhs.hi < lhs.lo)
-        assert interval_contains(rational_interval(x + y, n), fr(a) + fr(b))
-        assert interval_contains(rational_interval(y + x, n), fr(a) + fr(b))
+        assert interval_contains(rational_interval(x + y, n), a + b)
+        assert interval_contains(rational_interval(y + x, n), a + b)
 
     @given(signed, signed, signed)
     @settings(max_examples=30, deadline=None)
     def test_mul_distributes(self, a, b, c):
-        x, y, z = as_real(fr(a)), as_real(fr(b)), as_real(fr(c))
-        expected = fr(a) * (fr(b) + fr(c))
+        x, y, z = g_embed(a), g_embed(b), g_embed(c)
+        expected = a * (b + c)
         assert interval_contains(value_interval(x * (y + z)), expected)
         assert interval_contains(value_interval(x * y + x * z), expected)
