@@ -17,17 +17,24 @@ answer the library gives is exact about its own uncertainty.
 Each node kind brackets and renders itself: ``_fresh`` computes its
 bracket from its operands' brackets (or, on a leaf, from its witnesses)
 and ``repr`` is its s-expression.  ``bracket`` is the single entry
-point; it validates the precision and owns the per-node cache, and
-composite nodes recurse through it, never through each other's
-``_fresh``.  Leaf membership inside this module likewise goes through
-``membership_leaf``, so wrapping those two module attributes sees every
-bracket and every membership test.
+point; it validates the precision and owns the cache, and composite
+nodes recurse through it, never through each other's ``_fresh``.  The
+cache is one slot per node holding the tightest bracket seen so far: a
+bracket of width w answers every request with w*n <= 1, so a shared
+node asked at several precisions is computed once per refinement, not
+once per precision.  Rational and root leaves are not cached; their
+closed form costs one integer division or k-th root, and computing it
+every time keeps their brackets independent of what was asked before.
+Leaf membership inside this module goes through ``membership_leaf``, so
+wrapping those two module attributes sees every bracket and every
+membership test.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -46,6 +53,10 @@ from .qpos import (
 DEFAULT_BUDGET = 2 ** 64
 
 _SQRT2 = PosRational(2)
+
+# Serialises the check-and-store of a node's best bracket, so a wider
+# bracket never replaces a narrower one when threads refine one node.
+_STORE = threading.Lock()
 
 
 class BadDegreeError(ValueError):
@@ -105,21 +116,25 @@ class Bracket:
 class Cut:
     """Base class for cut expression nodes.
 
-    Nodes are immutable once built; the only mutable state is a private
-    per-node bracket cache keyed by precision, which `bracket` reads and
-    fills.  Each subclass supplies `_fresh(n, budget)`, its bracket at
+    Nodes are immutable once built; the only mutable state is `_best`,
+    the tightest bracket `bracket` has seen for the node and the
+    precision it was asked at, which `bracket` reads and replaces by
+    narrower brackets only.  Kinds whose `_keeps_best` is false never
+    fill it.  Each subclass supplies `_fresh(n, budget)`, its bracket at
     precision n computed without the cache, and a `__repr__` giving its
-    s-expression.  Cached values are pure functions of the node, so
-    concurrent readers at worst recompute the same bracket and store
-    identical results (dict updates are atomic).  Identity, not
-    structure, is node equality: value equality of cuts is only ever
-    semidecidable and is deliberately not spelled __eq__.
+    s-expression.  Which bracket a request gets depends on what was
+    asked before; every one is certified and at most 1/n wide, also for
+    concurrent callers, which may each compute a fresh bracket and then
+    get different, equally valid ones.  Identity, not structure, is node
+    equality: value equality of cuts is only ever semidecidable and is
+    deliberately not spelled __eq__.
     """
 
-    __slots__ = ("_cache",)
+    __slots__ = ("_best",)
+    _keeps_best = True
 
     def __init__(self) -> None:
-        self._cache: dict = {}
+        self._best: tuple[int, Bracket | None] = (0, None)
 
     def __add__(self, other: Cut) -> Cut:
         return add(self, other)
@@ -132,10 +147,13 @@ class Leaf(Cut):
     """A cut with exact membership `contains(x)` and `witnesses()` in/out.
 
     Bracketed in closed form on the dyadic grid over its witnesses
-    (`_grid_bracket`) unless the kind overrides `_fresh`.
+    (`_grid_bracket`) unless the kind overrides `_fresh`.  That costs one
+    integer division or k-th root, so the bracket is computed on every
+    call and never cached.
     """
 
     __slots__ = ()
+    _keeps_best = False
 
     def _fresh(self, n: int, budget: int) -> Bracket:
         return _grid_bracket(self, *self.witnesses(), n)
@@ -207,10 +225,12 @@ class OracleCut(Leaf):
     The predicate must describe a genuine initial segment: downward
     closed, no maximum, neither empty nor everything.  The library
     cannot check that; it only spot-checks the two witnesses.  Its
-    predicate is opaque, so it is bracketed by bisection.
+    predicate is opaque, so it is bracketed by bisection, and its
+    tightest bracket is kept like a composite's.
     """
 
     __slots__ = ("member", "witness_in", "witness_out")
+    _keeps_best = True
 
     def __init__(self, member: Callable[[PosRational], bool],
                  witness_in: PosRational, witness_out: PosRational) -> None:
@@ -476,25 +496,44 @@ def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
 
     Returns (lo, hi) with lo a member of a, hi a non-member, and
     hi - lo <= 1/n.  This is the single entry point: it validates n,
-    serves repeated precisions from the node's cache, and otherwise asks
-    the node for a fresh bracket.  Rational and root leaves answer in
-    closed form, on the same dyadic grid over their witnesses that
-    bisection would walk; oracle leaves are bisected; composite nodes
-    recurse structurally through this function, so shared subtrees are
-    bracketed once per precision.  `budget` caps the precision
-    denominator reached while separating the operands of a difference;
-    when it runs out, PrecisionBudgetExhausted propagates.
+    returns the node's stored bracket when that is already narrow
+    enough, and otherwise asks the node for a fresh bracket and stores
+    it if it is the narrowest yet.  So the bracket returned may be
+    narrower than 1/n, and which one it is depends on earlier requests.
+    Rational and root leaves answer in closed form, on the same dyadic
+    grid over their witnesses that bisection would walk, on every call;
+    oracle leaves are bisected; composite nodes recurse structurally
+    through this function, so a shared subtree is bracketed afresh only
+    when a request is finer than anything it has answered.  `budget`
+    caps the precision denominator reached while separating the
+    operands of a difference; when it runs out, PrecisionBudgetExhausted
+    propagates.
     """
     if n < 1:
         raise ValueError(f"precision denominator must be >= 1, got {n}")
+    asked, best = a._best
+    # a bracket asked at `asked` serves every coarser request; a finer one
+    # is served when its actual width allows, which is checked only then
+    # so that nodes asked once never pay for it
+    if n <= asked or best is not None and n <= _reach(best):
+        return best
     if budget is None:
         budget = DEFAULT_BUDGET
-    cached = a._cache.get(n)
-    if cached is not None:
-        return cached
     result = a._fresh(n, budget)
-    a._cache[n] = result
+    if a._keeps_best:
+        with _STORE:
+            # `best` was too wide for n and `result` is not; if another
+            # thread stored a bracket meanwhile, keep the narrower one
+            current = a._best[1]
+            if current is best or _reach(result) > _reach(current):
+                a._best = (n, result)
     return result
+
+
+def _reach(b: Bracket) -> int:
+    """floor(1/width): b serves precision n exactly when n <= _reach(b)."""
+    lo, hi = b.lo, b.hi
+    return lo.den * hi.den // (hi.num * lo.den - lo.num * hi.den)
 
 
 def _bisect(a: Leaf, lo: PosRational, hi: PosRational, n: int) -> Bracket:
@@ -538,8 +577,25 @@ def _iroot(t: int, d: int) -> int:
         return t
     if d == 2:
         return math.isqrt(t)
-    # integer Newton from an overestimate decreases onto the floor root
-    x = 1 << -(-t.bit_length() // d)
+    # bisect for the root of t's top bits: about log2(d) + 2 leading bits
+    # of the root, or all of them when the root is that short
+    shift = max(0, t.bit_length() // d - d.bit_length() - 2)
+    top = t >> shift * d
+    lo = 1 << (top.bit_length() - 1) // d  # lo^d <= top < (2*lo)^d
+    hi = 2 * lo
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if mid ** d <= top:
+            lo = mid
+        else:
+            hi = mid
+    if shift == 0:
+        return lo
+    # hi << shift overshoots the root by a factor below 1 + 1/(2d), so
+    # integer Newton starts in its quadratic phase and decreases onto
+    # the floor root (from a power of two it would shrink by only about
+    # 1 - 1/d a step)
+    x = hi << shift
     while True:
         y = ((d - 1) * x + t // x ** (d - 1)) // d
         if y >= x:

@@ -16,7 +16,8 @@ literals plus k-th roots of positive rational literals.
 
 Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
 deeper input is a ParseError at the first sign or parenthesis past the
-limit.  Whitespace never matters.  "1/2" and "1 / 2" are both the literal
+limit.  A root degree above MAX_ROOT_DEGREE is a DomainError at the
+degree.  Whitespace never matters.  "1/2" and "1 / 2" are both the literal
 one-half; a zero denominator is the one case where "/" falls through to
 division, so "1/0" is division by the literal zero and fails at
 evaluation time (no nonzero certificate), not at parse time.
@@ -49,6 +50,10 @@ DEFAULT_COMPARE_PRECISION = 10 ** 6
 # The parser and evaluator recurse once or more per level, so this keeps
 # both far inside the interpreter's recursion limit.
 MAX_NESTING = 100
+# Largest root degree the parser accepts.  Bracketing a root raises
+# integers to the degree-th power, so an unbounded degree is unbounded
+# work; at this cap root(k, 999/998) prints 30 digits well within a second.
+MAX_ROOT_DEGREE = 5000
 
 
 class ParseError(ValueError):
@@ -303,6 +308,9 @@ class _Parser:
             if degree < 2:
                 raise DomainError(f"root degree must be at least 2, got {degree}",
                                   deg_tok.offset)
+            if degree > MAX_ROOT_DEGREE:
+                raise DomainError(f"root degree must be at most {MAX_ROOT_DEGREE}, "
+                                  f"got {degree}", deg_tok.offset)
             return Root(degree, rad)
         raise ParseError(f"unknown function {name.text!r}", name.offset)
 

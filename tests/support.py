@@ -95,6 +95,35 @@ def sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:
     return Fraction(m, scale), Fraction(m + 1, scale)
 
 
+def root_bounds(value: Fraction, degree: int, scale: int) -> tuple[Fraction, Fraction]:
+    """Oracle enclosure of value**(1/degree) of width 1/scale, by bisection
+    on the integers."""
+    t = value.numerator * scale ** degree // value.denominator
+    lo, hi = 0, 1
+    while hi ** degree <= t:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** degree <= t:
+            lo = mid
+        else:
+            hi = mid
+    assert Fraction(lo, scale) ** degree <= value < Fraction(hi, scale) ** degree
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
+def surd_sign(x: Fraction, y: Fraction, p: int) -> int:
+    """The sign of x + y*sqrt(p), exactly, for p not a perfect square."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    # opposite signs: the term of larger magnitude wins, and the squares
+    # cannot tie because sqrt(p) is irrational
+    return sx if x * x > y * y * p else sy
+
+
 def oracle_half_up(value: Fraction, digits: int) -> int:
     """floor(value * 10^digits + 1/2), computed straight from the Fraction."""
     scaled = value * 10 ** digits

@@ -1,7 +1,10 @@
 """Cut layer: exact membership, certified brackets, and their algebra."""
 
 import math
+import random
+import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -18,19 +21,38 @@ from segreals import (
     NotAMemberError,
     PosRational,
     PrecisionBudgetExhausted,
+    ZeroAtPrecision,
+    approx,
     bracket,
     difference,
+    exprcli,
+    f_embed,
+    g_embed,
     inverse,
     membership_leaf,
     next_member_above,
     oracle_cut,
     ratio_refine,
+    real,
     root_cut,
     s_r,
     sup_finite,
     to_sexpr,
 )
-from segreals.cut import _bisect, _grid_bracket, _iroot, add, compare, mul
+from segreals.cut import (
+    Difference,
+    Inverse,
+    Product,
+    RationalCut,
+    RootCut,
+    Sum,
+    _bisect,
+    _grid_bracket,
+    _iroot,
+    add,
+    compare,
+    mul,
+)
 
 from support import (
     bracket_stepwise,
@@ -39,6 +61,7 @@ from support import (
     leaf_member_oracle,
     q,
     straddles,
+    surd_sign,
 )
 
 small_rationals = st.builds(PosRational, st.integers(1, 40), st.integers(1, 40))
@@ -239,6 +262,21 @@ class TestClosedFormLeaves:
                 assert _iroot(x ** d, d) == x
                 assert _iroot(x ** d - 1, d) == x - 1
                 assert _iroot(x ** d + 1, d) == x
+
+    @given(st.integers(0, 2 ** 3000), st.integers(3, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_root_brackets_the_root(self, t, d):
+        r = _iroot(t, d)
+        assert r ** d <= t < (r + 1) ** d
+
+    def test_integer_root_of_high_degree_is_fast(self):
+        # Newton from a power of two needs about d steps at degree d; the
+        # bisected seed needs a handful
+        t = 3 ** 190_000 + 12345  # about 301 000 bits
+        start = time.perf_counter()
+        r = _iroot(t, 3000)
+        assert time.perf_counter() - start < 2
+        assert r ** 3000 <= t < (r + 1) ** 3000
 
 
 # ===========================================================================
@@ -449,13 +487,184 @@ class TestCompare:
 
 
 # ===========================================================================
-# plumbing: memoisation and debug rendering
+# plumbing: the bracket cache, trace hooks and debug rendering
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    import segreals.cut as cut_module
+    brackets, tests = Counter(), Counter()
+    plain_bracket, plain_member = cut_module.bracket, cut_module.membership_leaf
+
+    def counting_bracket(a, n, budget=None):
+        brackets[type(a).__name__] += 1
+        return plain_bracket(a, n, budget)
+
+    def counting_member(a, x):
+        tests[type(a).__name__] += 1
+        return plain_member(a, x)
+
+    monkeypatch.setattr(cut_module, "bracket", counting_bracket)
+    monkeypatch.setattr(cut_module, "membership_leaf", counting_member)
+    return cut_module, brackets, tests
+
+
+def surd_values(roots: list, p: int) -> dict:
+    """The exact value of every cut node reachable from `roots`, as a pair
+    (a, b) standing for a + b*sqrt(p), recomputed from the node structure.
+    Keyed by id, in the order the nodes were first reached."""
+    values: dict = {}
+
+    def value(c):
+        if id(c) in values:
+            return values[id(c)][1]
+        if isinstance(c, RationalCut):
+            v = fr(c.bound), Fraction(0)
+        elif isinstance(c, RootCut):
+            assert (c.degree, c.radicand) == (2, q(p))
+            v = Fraction(0), Fraction(1)
+        elif isinstance(c, Sum):
+            (a, b), (x, y) = value(c.left), value(c.right)
+            v = a + x, b + y
+        elif isinstance(c, Product):
+            (a, b), (x, y) = value(c.left), value(c.right)
+            v = a * x + b * y * p, a * y + b * x
+        elif isinstance(c, Inverse):
+            a, b = value(c.operand)
+            norm = a * a - b * b * p
+            v = a / norm, -b / norm
+        elif isinstance(c, Difference):
+            (a, b), (x, y) = value(c.lower), value(c.upper)
+            v = x - a, y - b
+        else:
+            raise TypeError(type(c).__name__)
+        values[id(c)] = c, v
+        return v
+
+    for c in roots:
+        value(c)
+    return values
+
+
+signed_small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
 class TestMemoisation:
     def test_repeated_queries_hit_the_cache(self):
-        a = root_cut(2, q(2))
+        a = add(root_cut(2, q(2)), s_r(q(1, 3)))
         assert bracket(a, 1000) is bracket(a, 1000)
+
+    def test_coarser_request_is_served_without_work(self, counted):
+        cut_module, brackets, _ = counted
+        a = mul(add(root_cut(2, q(2)), s_r(q(1, 3))), inverse(s_r(q(3))))
+        fine = cut_module.bracket(a, 10 ** 6)
+        brackets.clear()
+        assert cut_module.bracket(a, 10 ** 3) is fine
+        assert brackets == {"Product": 1}  # the request itself, nothing nested
+
+    def test_finer_request_is_served_up_to_the_width(self, counted):
+        # the stored bracket answers every n with width*n <= 1, also n
+        # above the precision it was asked at, and no n beyond that
+        cut_module, brackets, _ = counted
+        a = mul(add(root_cut(2, q(2)), s_r(q(1, 3))), inverse(s_r(q(3))))
+        fine = cut_module.bracket(a, 10 ** 6)
+        reach = math.floor(1 / fr(fine.width))
+        assert reach > 10 ** 6  # a product comes out narrower than asked
+        brackets.clear()
+        assert cut_module.bracket(a, reach) is fine
+        assert brackets == {"Product": 1}
+        finer = cut_module.bracket(a, reach + 1)
+        assert finer is not fine and sum(brackets.values()) > 2  # computed afresh
+        assert fr(finer.width) <= Fraction(1, reach + 1)
+
+    @pytest.mark.parametrize("leaf", [s_r(q(22, 7)), root_cut(3, q(5, 2))])
+    def test_leaves_ignore_earlier_requests(self, leaf):
+        # closed-form leaves keep nothing, so a fine request never changes
+        # the bytes of a later coarse one
+        for n in (1, 7, 1000, 10 ** 6):
+            bracket(leaf, 10 ** 40)
+            assert bracket(leaf, n) == _grid_bracket(leaf, *leaf.witnesses(), n)
+
+    @given(st.sampled_from([2, 3, 5]),
+           st.lists(signed_small, min_size=1, max_size=3),
+           st.lists(st.tuples(st.sampled_from(["add", "sub", "mul", "inv"]),
+                              st.integers(0, 99), st.integers(0, 99)),
+                    min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(0, 999),
+                              st.sampled_from([1, 3, 10, 97, 1000, 10 ** 6, 10 ** 9])),
+                    min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_nodes_in_any_order_stay_certified(self, p, consts, ops, requests):
+        # real.mul feeds every component to two products and real.inv
+        # builds a difference, so nodes are shared and each is asked at
+        # precisions in whatever order the requests come
+        pool = [f_embed(root_cut(2, q(p)))] + [g_embed(c) for c in consts]
+        for op, i, j in ops:
+            x, y = pool[i % len(pool)], pool[j % len(pool)]
+            if op == "inv":
+                try:
+                    pool.append(real.inv(x, 10 ** 6))
+                except ZeroAtPrecision:
+                    pass
+            else:
+                pool.append(getattr(real, op)(x, y))
+        nodes = list(surd_values([c for x in pool for c in (x.pos, x.neg)], p).values())
+        for k, n in requests:
+            c, (a, b) = nodes[k % len(nodes)]
+            br = bracket(c, n)
+            assert fr(br.width) <= Fraction(1, n)
+            assert surd_sign(a - fr(br.lo), b, p) > 0  # lo < value
+            assert surd_sign(fr(br.hi) - a, -b, p) >= 0  # value <= hi
+
+    def test_threads_never_widen_the_stored_bracket(self):
+        # many threads refine one node in different orders; its predicate
+        # yields the interpreter lock on every test, so bisections at
+        # different precisions interleave.  A watcher records the node's
+        # stored bracket meanwhile, which must only ever get narrower
+        def member(x):
+            time.sleep(0)
+            return x.num ** 2 < 2 * x.den ** 2
+
+        a = oracle_cut(member, q(1), q(2))
+        precisions = [10 ** k for k in range(1, 30)]
+        widths_ok, stored = [], [None]
+
+        def work(seed):
+            order = random.Random(seed).sample(precisions, len(precisions))
+            widths_ok.append(all(fr(bracket(a, n).width) <= Fraction(1, n) for n in order))
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            while any(t.is_alive() for t in threads):
+                if a._best[1] is not stored[-1]:
+                    stored.append(a._best[1])
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert widths_ok == [True] * 8
+        widths = [fr(b.width) for b in stored[1:] + [a._best[1]]]
+        assert widths == sorted(widths, reverse=True)
+        assert widths[-1] <= Fraction(1, precisions[-1])
+
+    def test_nested_products_grow_linearly(self, counted):
+        # (2*(2*(...1...))): real.mul asks each operand at several
+        # precisions; a cache keyed by exact n missed nearly all of them
+        # and the calls grew about 2.2x per level
+        cut_module, brackets, _ = counted
+
+        def calls(levels):
+            brackets.clear()
+            text = "(2*" * levels + "1" + ")" * levels
+            approx.decimal(exprcli.evaluate(exprcli.parse(text), 10 ** 7), 5)
+            return sum(brackets.values())
+
+        assert calls(16) <= 4 * calls(8)
 
     def test_concurrent_queries_agree(self):
         a = mul(add(root_cut(2, q(2)), s_r(q(1, 3))), inverse(s_r(q(3))))
@@ -481,24 +690,6 @@ class TestTraceHooks:
     and leaves are tested through `cut.membership_leaf`, so one wrapper on
     each sees every bracket and every membership test.  Outside-in tracers
     (perfbench/spans.py) rely on exactly that."""
-
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        import segreals.cut as cut_module
-        brackets, tests = Counter(), Counter()
-        plain_bracket, plain_member = cut_module.bracket, cut_module.membership_leaf
-
-        def counting_bracket(a, n, budget=None):
-            brackets[type(a).__name__] += 1
-            return plain_bracket(a, n, budget)
-
-        def counting_member(a, x):
-            tests[type(a).__name__] += 1
-            return plain_member(a, x)
-
-        monkeypatch.setattr(cut_module, "bracket", counting_bracket)
-        monkeypatch.setattr(cut_module, "membership_leaf", counting_member)
-        return cut_module, brackets, tests
 
     def test_every_kind_is_bracketed_through_the_module(self, counted):
         cut_module, brackets, _ = counted

@@ -1,5 +1,6 @@
 """Expression grammar, evaluation, and the command line contract."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,29 @@ from segreals import (
     rational_interval,
     unparse,
 )
-from segreals.exprcli import MAX_NESTING, Add, Div, Literal, Mul, Neg, Root, Sub
+from segreals.exprcli import (
+    MAX_NESTING,
+    MAX_ROOT_DEGREE,
+    Add,
+    Div,
+    Literal,
+    Mul,
+    Neg,
+    Root,
+    Sub,
+)
 
-from support import fr, interval_contains, long_int, q, run_cli, sqrt_bounds
+from support import (
+    format_scaled,
+    fr,
+    interval_contains,
+    long_int,
+    oracle_half_up,
+    q,
+    root_bounds,
+    run_cli,
+    sqrt_bounds,
+)
 
 
 def lit(num, den=1):
@@ -92,6 +113,14 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("")
+
+    def test_root_degree_cap(self):
+        assert parse(f"root({MAX_ROOT_DEGREE}, 2)") == Root(MAX_ROOT_DEGREE, lit(2))
+        for degree in (MAX_ROOT_DEGREE + 1, 10 ** 20):
+            with pytest.raises(DomainError) as exc:
+                parse(f"1 + root({degree}, 2)")
+            assert exc.value.offset == 9  # the degree token
+            assert f"at most {MAX_ROOT_DEGREE}" in str(exc.value)
 
     @pytest.mark.parametrize("opener", ["(", "-", "-("])
     def test_nesting_limit(self, opener):
@@ -289,6 +318,25 @@ class TestCli:
             == (0, "1.41421356\n", "")
         assert run_cli(["eval", "(1+" * 50 + "1" + ")" * 50, "--digits", "3"]) \
             == (0, "51.000\n", "")
+
+    def test_huge_root_degree_exit(self):
+        code, out, err = run_cli(["eval", "root(99999999999999999999, 2)"])
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_ROOT_DEGREE}" in err and "offset 5" in err
+
+    @pytest.mark.parametrize("degree, radicand, digits", [
+        (3000, Fraction(2), 5),
+        (MAX_ROOT_DEGREE, Fraction(999, 998), 30),
+    ])
+    def test_high_root_degrees_in_bounded_time(self, degree, radicand, digits):
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", f"root({degree}, {radicand})",
+                                  "--digits", str(digits)])
+        assert time.perf_counter() - start < 2
+        lo, hi = root_bounds(radicand, degree, 10 ** (digits + 4))
+        units = oracle_half_up(lo, digits)
+        assert units == oracle_half_up(hi, digits), "oracle enclosure crosses a tie"
+        assert (code, out, err) == (0, format_scaled(units, digits) + "\n", "")
 
     def test_oversized_literal_exit(self):
         code, out, err = run_cli(["eval", "1 + " + "7" * 5000])
