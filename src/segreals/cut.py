@@ -52,6 +52,11 @@ from .qpos import (
 # looping forever on an unseparable (equal-valued) pair.
 DEFAULT_BUDGET = 2 ** 64
 
+# Largest root degree `root_cut` accepts.  Bracketing a root raises
+# integers to the degree-th power, so an unbounded degree is unbounded
+# work; at this cap root(k, 999/998) prints 30 digits well within a second.
+MAX_ROOT_DEGREE = 5000
+
 _SQRT2 = PosRational(2)
 
 # Serialises the check-and-store of a node's best bracket, so a wider
@@ -60,7 +65,7 @@ _STORE = threading.Lock()
 
 
 class BadDegreeError(ValueError):
-    """Root degree below 2 requested."""
+    """Root degree outside 2..MAX_ROOT_DEGREE requested."""
 
 
 class NotALeafError(TypeError):
@@ -116,17 +121,18 @@ class Bracket:
 class Cut:
     """Base class for cut expression nodes.
 
-    Nodes are immutable once built; the only mutable state is `_best`,
-    the tightest bracket `bracket` has seen for the node and the
-    precision it was asked at, which `bracket` reads and replaces by
-    narrower brackets only.  Kinds whose `_keeps_best` is false never
-    fill it.  Each subclass supplies `_fresh(n, budget)`, its bracket at
-    precision n computed without the cache, and a `__repr__` giving its
-    s-expression.  Which bracket a request gets depends on what was
-    asked before; every one is certified and at most 1/n wide, also for
-    concurrent callers, which may each compute a fresh bracket and then
-    get different, equally valid ones.  Identity, not structure, is node
-    equality: value equality of cuts is only ever semidecidable and is
+    Nodes are immutable once built, apart from two caches: `_best`, the
+    tightest bracket `bracket` has seen for the node and the precision
+    it was asked at, replaced by narrower brackets only and never filled
+    on kinds whose `_keeps_best` is false; and a `Difference`'s `_sep`,
+    the separation precision that later brackets reuse.  Each subclass
+    supplies `_fresh(n, budget)`, its bracket at precision n computed
+    without the cache, and a `__repr__` giving its s-expression.  Which
+    bracket a request gets depends on what was asked before; every one
+    is certified and at most 1/n wide, also for concurrent callers,
+    which may each compute a fresh bracket and then get different,
+    equally valid ones.  Identity, not structure, is node equality:
+    value equality of cuts is only ever semidecidable and is
     deliberately not spelled __eq__.
     """
 
@@ -401,9 +407,15 @@ def s_r(r: PosRational) -> RationalCut:
 
 def root_cut(degree: int, radicand: PosRational) -> RootCut:
     """The segment whose value is the degree-th root of the radicand."""
-    if degree < 2:
-        raise BadDegreeError(f"root degree must be at least 2, got {degree}")
+    check_root_degree(degree)
     return RootCut(degree, radicand)
+
+
+def check_root_degree(degree: int) -> None:
+    """The one rule on root degrees: 2 <= degree <= MAX_ROOT_DEGREE."""
+    if not 2 <= degree <= MAX_ROOT_DEGREE:
+        bound = "at least 2" if degree < 2 else f"at most {MAX_ROOT_DEGREE}"
+        raise BadDegreeError(f"root degree must be {bound}, got {degree}")
 
 
 def oracle_cut(member: Callable[[PosRational], bool],

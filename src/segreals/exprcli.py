@@ -16,11 +16,13 @@ literals plus k-th roots of positive rational literals.
 
 Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
 deeper input is a ParseError at the first sign or parenthesis past the
-limit.  A root degree above MAX_ROOT_DEGREE is a DomainError at the
-degree.  Whitespace never matters.  "1/2" and "1 / 2" are both the literal
-one-half; a zero denominator is the one case where "/" falls through to
-division, so "1/0" is division by the literal zero and fails at
-evaluation time (no nonzero certificate), not at parse time.
+limit.  A root degree outside 2..MAX_ROOT_DEGREE is a DomainError at
+the degree; the rule is `cut.root_cut`'s, so the library holds roots
+built without the parser to the same cap.  Whitespace never matters.
+"1/2" and "1 / 2" are both the literal one-half; a zero denominator is
+the one case where "/" falls through to division, so "1/0" is division
+by the literal zero and fails at evaluation time (no nonzero
+certificate), not at parse time.
 
 Exit codes: 0 for any certified answer including "overlap", 2 for
 syntax and domain errors, 3 when certification failed (zero divisor or
@@ -39,7 +41,7 @@ from pathlib import Path
 
 from . import approx, cut, real
 from .embed import f_embed, g_embed
-from .qpos import PosRational, int_str
+from .qpos import NonPositiveError, PosRational, int_str
 from .real import Real, ZeroAtPrecision
 
 CONFIG_FILE = "reals.toml"
@@ -50,10 +52,7 @@ DEFAULT_COMPARE_PRECISION = 10 ** 6
 # The parser and evaluator recurse once or more per level, so this keeps
 # both far inside the interpreter's recursion limit.
 MAX_NESTING = 100
-# Largest root degree the parser accepts.  Bracketing a root raises
-# integers to the degree-th power, so an unbounded degree is unbounded
-# work; at this cap root(k, 999/998) prints 30 digits well within a second.
-MAX_ROOT_DEGREE = 5000
+MAX_ROOT_DEGREE = cut.MAX_ROOT_DEGREE
 
 
 class ParseError(ValueError):
@@ -94,27 +93,27 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class Add:
+class Binary:
+    """An infix operator; each subclass names its `symbol` and `combine`."""
+
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: Expr
-    right: Expr
+class Add(Binary):
+    symbol, combine = "+", staticmethod(real.add)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: Expr
-    right: Expr
+class Sub(Binary):
+    symbol, combine = "-", staticmethod(real.sub)
 
 
-@dataclass(frozen=True)
-class Div:
-    left: Expr
-    right: Expr
+class Mul(Binary):
+    symbol, combine = "*", staticmethod(real.mul)
+
+
+class Div(Binary):
+    symbol, combine = "/", staticmethod(real.mul)
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,9 @@ class Root:
     radicand: Literal
 
 
-Expr = Literal | Add | Sub | Mul | Div | Neg | Root
+Expr = Literal | Binary | Neg | Root
+
+_BINARY = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +224,13 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+            e = _BINARY[self.take().kind](e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+            e = _BINARY[self.take().kind](e, self.factor())
         return e
 
     def factor(self) -> Expr:
@@ -293,26 +290,21 @@ class _Parser:
 
     def root_form(self) -> Expr:
         name = self.take()
-        if name.text == "sqrt":
-            self.expect("(")
-            rad = self.radicand()
-            self.expect(")")
-            return Root(2, rad)
+        if name.text not in ("sqrt", "root"):
+            raise ParseError(f"unknown function {name.text!r}", name.offset)
+        self.expect("(")
+        degree, deg_tok = 2, name  # sqrt's degree always passes the rule
         if name.text == "root":
-            self.expect("(")
             deg_tok = self.expect("int")
             degree = _int(deg_tok)
             self.expect(",")
-            rad = self.radicand()
-            self.expect(")")
-            if degree < 2:
-                raise DomainError(f"root degree must be at least 2, got {degree}",
-                                  deg_tok.offset)
-            if degree > MAX_ROOT_DEGREE:
-                raise DomainError(f"root degree must be at most {MAX_ROOT_DEGREE}, "
-                                  f"got {degree}", deg_tok.offset)
-            return Root(degree, rad)
-        raise ParseError(f"unknown function {name.text!r}", name.offset)
+        rad = self.radicand()
+        self.expect(")")
+        try:
+            cut.check_root_degree(degree)
+        except cut.BadDegreeError as exc:
+            raise DomainError(str(exc), deg_tok.offset) from None
+        return Root(degree, rad)
 
 
 def parse(text: str) -> Expr:
@@ -335,9 +327,7 @@ def unparse(e: Expr) -> str:
         return f"-({unparse(e.operand)})"
     if isinstance(e, Root):
         return f"root({e.degree}, {unparse(e.radicand)})"
-    ops = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-    op = ops[type(e)]
-    return f"({unparse(e.left)}) {op} ({unparse(e.right)})"
+    return f"({unparse(e.left)}) {e.symbol} ({unparse(e.right)})"
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +338,25 @@ def evaluate(e: Expr, n: int, budget: int | None = None) -> Real:
     """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n."""
     if isinstance(e, Literal):
         return g_embed(e.value)
-    if isinstance(e, Add):
-        return real.add(evaluate(e.left, n, budget), evaluate(e.right, n, budget))
-    if isinstance(e, Sub):
-        return real.sub(evaluate(e.left, n, budget), evaluate(e.right, n, budget))
-    if isinstance(e, Mul):
-        return real.mul(evaluate(e.left, n, budget), evaluate(e.right, n, budget))
-    if isinstance(e, Div):
-        numer = evaluate(e.left, n, budget)
-        denom = evaluate(e.right, n, budget)
-        try:
-            return real.mul(numer, real.inv(denom, n, budget))
-        except ZeroAtPrecision as exc:
-            raise ZeroDivisorAtPrecision(n) from exc
+    if isinstance(e, Binary):
+        x = evaluate(e.left, n, budget)
+        y = evaluate(e.right, n, budget)
+        if isinstance(e, Div):
+            try:
+                y = real.inv(y, n, budget)
+            except ZeroAtPrecision as exc:
+                raise ZeroDivisorAtPrecision(n) from exc
+        return e.combine(x, y)
     if isinstance(e, Neg):
         return real.neg(evaluate(e.operand, n, budget))
     if isinstance(e, Root):
-        v = e.radicand.value
-        if v <= 0:
-            raise DomainError("root radicand must be a positive rational literal")
-        if e.degree < 2:
-            raise DomainError(f"root degree must be at least 2, got {e.degree}")
-        return f_embed(cut.root_cut(e.degree, PosRational(v.numerator, v.denominator)))
+        try:
+            radicand = PosRational(*e.radicand.value.as_integer_ratio())
+            return f_embed(cut.root_cut(e.degree, radicand))
+        except NonPositiveError:
+            raise DomainError("root radicand must be a positive rational literal") from None
+        except cut.BadDegreeError as exc:
+            raise DomainError(str(exc)) from None
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 

@@ -105,6 +105,12 @@ class TestMembership:
         with pytest.raises(BadDegreeError):
             root_cut(0, q(2))
 
+    def test_root_degree_capped(self):
+        cap = exprcli.MAX_ROOT_DEGREE
+        assert root_cut(cap, q(2)).degree == cap
+        with pytest.raises(BadDegreeError, match=f"at most {cap}, got {cap + 1}"):
+            root_cut(cap + 1, q(2))
+
     @given(leaves, small_rationals, small_rationals)
     def test_downward_closure(self, leaf, x, y):
         # anything below a member is a member

@@ -236,6 +236,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(Root(1, lit(2)), 10)
 
+    def test_hand_built_root_degree_capped(self):
+        # the cap is the library's, not only the parser's
+        with pytest.raises(DomainError) as exc:
+            evaluate(Root(MAX_ROOT_DEGREE + 1, lit(2)), 10)
+        assert str(exc.value) == f"root degree must be at most {MAX_ROOT_DEGREE}, " \
+            f"got {MAX_ROOT_DEGREE + 1}"
+        assert exc.value.offset is None
+
     @given(_trees)
     @settings(max_examples=25, deadline=None)
     def test_commuted_trees_agree(self, tree):
