@@ -16,18 +16,21 @@ answer the library gives is exact about its own uncertainty.
 
 Each node kind brackets and renders itself: ``_fresh`` computes its
 bracket from its operands' brackets (or, on a leaf, from its witnesses)
-and ``repr`` is its s-expression.  ``bracket`` is the single entry
-point; it validates the precision and owns the cache, and composite
-nodes recurse through it, never through each other's ``_fresh``.  The
-cache is one slot per node holding the tightest bracket seen so far: a
-bracket of width w answers every request with w*n <= 1, so a shared
-node asked at several precisions is computed once per refinement, not
-once per precision.  Rational and root leaves are not cached; their
-closed form costs one integer division or k-th root, and computing it
-every time keeps their brackets independent of what was asked before.
-Leaf membership inside this module goes through ``membership_leaf``, so
-wrapping those two module attributes sees every bracket and every
-membership test.
+and ``repr`` is its s-expression; each leaf kind also climbs to a
+member above a given one (``_climb``, behind ``next_member_above``).
+``bracket`` is the single entry point; it validates the precision and
+owns the cache, and composite nodes recurse through it, never through
+each other's ``_fresh``.  The cache is one slot per node, and a node's
+only mutable state: the tightest bracket seen so far.  A bracket of
+width w answers every request with w*n <= 1, so a shared node asked at
+several precisions is computed once per refinement, not once per
+precision.  Rational and root leaves are not cached; their
+closed form, the largest member numerator over a given denominator,
+costs one integer division or k-th root, and computing it every time
+keeps their brackets independent of what was asked before.  The same
+closed form climbs, without a membership test.  Leaf membership inside
+this module goes through ``membership_leaf``, so wrapping those two
+module attributes sees every bracket and every membership test.
 """
 
 from __future__ import annotations
@@ -38,14 +41,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .qpos import (
-    ONE,
-    PosRational,
-    archimedean_bound,
-    ceil_int,
-    halve,
-    mediant,
-)
+from .qpos import ONE, PosRational, archimedean_bound, ceil_int, halve
 
 # Cap on the precision denominator reached while hunting for a
 # separation inside `difference`.  Exhausting it raises instead of
@@ -56,8 +52,6 @@ DEFAULT_BUDGET = 2 ** 64
 # integers to the degree-th power, so an unbounded degree is unbounded
 # work; at this cap root(k, 999/998) prints 30 digits well within a second.
 MAX_ROOT_DEGREE = 5000
-
-_SQRT2 = PosRational(2)
 
 # Serialises the check-and-store of a node's best bracket, so a wider
 # bracket never replaces a narrower one when threads refine one node.
@@ -121,11 +115,10 @@ class Bracket:
 class Cut:
     """Base class for cut expression nodes.
 
-    Nodes are immutable once built, apart from two caches: `_best`, the
+    Nodes are immutable once built, apart from one cache: `_best`, the
     tightest bracket `bracket` has seen for the node and the precision
     it was asked at, replaced by narrower brackets only and never filled
-    on kinds whose `_keeps_best` is false; and a `Difference`'s `_sep`,
-    the separation precision that later brackets reuse.  Each subclass
+    on kinds whose `_keeps_best` is false.  Each subclass
     supplies `_fresh(n, budget)`, its bracket at precision n computed
     without the cache, and a `__repr__` giving its s-expression.  Which
     bracket a request gets depends on what was asked before; every one
@@ -153,9 +146,10 @@ class Leaf(Cut):
     """A cut with exact membership `contains(x)` and `witnesses()` in/out.
 
     Bracketed in closed form on the dyadic grid over its witnesses
-    (`_grid_bracket`) unless the kind overrides `_fresh`.  That costs one
-    integer division or k-th root, so the bracket is computed on every
-    call and never cached.
+    (`_grid_bracket`), and climbed in closed form by `_climb`, unless the
+    kind overrides them.  Both ask the kind's `largest_member_numerator`
+    instead of testing membership; that costs one integer division or
+    k-th root, so the bracket is computed on every call and never cached.
     """
 
     __slots__ = ()
@@ -163,6 +157,16 @@ class Leaf(Cut):
 
     def _fresh(self, n: int, budget: int) -> Bracket:
         return _grid_bracket(self, *self.witnesses(), n)
+
+    def _climb(self, x: PosRational) -> PosRational:
+        # the largest member on the grid 1/(x.den * 2^k), for the first k
+        # at which it lies above x; one exists since the set has no maximum
+        den, floor = x.den, x.num
+        while True:
+            y = self.largest_member_numerator(den)
+            if y > floor:
+                return PosRational(y, den)
+            den, floor = 2 * den, 2 * floor
 
 
 class RationalCut(Leaf):
@@ -231,8 +235,8 @@ class OracleCut(Leaf):
     The predicate must describe a genuine initial segment: downward
     closed, no maximum, neither empty nor everything.  The library
     cannot check that; it only spot-checks the two witnesses.  Its
-    predicate is opaque, so it is bracketed by bisection, and its
-    tightest bracket is kept like a composite's.
+    predicate is opaque, so it is bracketed and climbed by bisection,
+    and its tightest bracket is its one cache, kept like a composite's.
     """
 
     __slots__ = ("member", "witness_in", "witness_out")
@@ -253,6 +257,15 @@ class OracleCut(Leaf):
 
     def _fresh(self, n: int, budget: int) -> Bracket:
         return _bisect(self, *self.witnesses(), n)
+
+    def _climb(self, x: PosRational) -> PosRational:
+        # bisect the gap down towards x until the midpoint lands inside
+        hi = self.witness_out
+        while True:
+            cand = halve(x + hi)
+            if membership_leaf(self, cand):
+                return cand
+            hi = cand
 
     def __repr__(self) -> str:
         return f"(oracle {self.witness_in} {self.witness_out})"
@@ -338,34 +351,31 @@ class Difference(Cut):
     y a non-member of lower and x > y.  Only meaningful when the value
     of lower is strictly below the value of upper; bracketing detects
     the failure of that premise as budget exhaustion, never silently.
+    Every fresh bracket searches for the separation again (t = 1, 2, 4,
+    ...), so the node keeps no cache beside `_best`; each step costs a
+    cached operand one lookup once it was asked that finely, and a
+    rational or root leaf one closed-form bracket.
     """
 
-    __slots__ = ("lower", "upper", "_sep")
+    __slots__ = ("lower", "upper")
 
     def __init__(self, lower: Cut, upper: Cut) -> None:
         super().__init__()
         self.lower = lower
         self.upper = upper
-        self._sep = None  # separation precision, found by the first bracket
 
     def _fresh(self, n: int, budget: int) -> Bracket:
-        t = self._sep
-        if t is None:
-            t = 1
-            while True:
-                ba = bracket(self.lower, t, budget)
-                bb = bracket(self.upper, t, budget)
-                if ba.hi < bb.lo:
-                    self._sep = t
-                    break
-                t *= 2
-                if t > budget:
-                    raise PrecisionBudgetExhausted(
-                        f"no separation between the operands down to width 1/{t // 2}; "
-                        f"their values may be equal")
-        else:
+        t = 1
+        while True:
             ba = bracket(self.lower, t, budget)
             bb = bracket(self.upper, t, budget)
+            if ba.hi < bb.lo:
+                break
+            t *= 2
+            if t > budget:
+                raise PrecisionBudgetExhausted(
+                    f"no separation between the operands down to width 1/{t // 2}; "
+                    f"their values may be equal")
         m = max(2 * n, t)
         fa = _clamp(bracket(self.lower, m, budget), ba)
         fb = _clamp(bracket(self.upper, m, budget), bb)
@@ -466,37 +476,7 @@ def next_member_above(a: Cut, x: PosRational) -> PosRational:
     """A member strictly above x, witnessing that leaves have no maximum."""
     if not membership_leaf(a, x):  # raises NotALeafError on composites
         raise NotAMemberError(f"{x} is not a member")
-    if isinstance(a, RationalCut):
-        # everything strictly between x and the bound is a member
-        return mediant(x, a.bound)
-    if isinstance(a, RootCut) and a.degree == 2 and a.radicand == _SQRT2:
-        return _next_member_sqrt2(x)
-    # generic leaf: bisect the gap down towards x until we land inside
-    hi = a.witnesses()[1]
-    while True:
-        cand = halve(x + hi)
-        if membership_leaf(a, cand):
-            return cand
-        hi = cand
-
-
-def _next_member_sqrt2(x: PosRational) -> PosRational:
-    """Climbing inside the square-root-of-two segment, in closed form.
-
-    For x = a/b with a >= b, the mediants (n*a + 2)/(n*b + 1) walk down
-    from 2/1 towards x; the index bound below guarantees the candidate's
-    square is still under 2, so a single exact check suffices.
-    """
-    if x < ONE:
-        return ONE  # 1 is a member and already above x
-    a, b = x.num, x.den
-    d = 2 * b * b - a * a  # positive exactly because x is a member
-    n = max(3, 4 * (a - b) // d + 1)
-    while True:
-        cand = PosRational(n * a + 2, n * b + 1)
-        if cand.num ** 2 < 2 * cand.den ** 2:
-            return cand
-        n += 1  # unreachable by the index bound; kept as a guard
+    return a._climb(x)
 
 
 # ---------------------------------------------------------------------------

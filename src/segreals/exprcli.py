@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,6 +131,8 @@ class Root:
 Expr = Literal | Binary | Neg | Root
 
 _BINARY = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
+# Operator symbols by precedence level, loosest first: expr, then term.
+_LEVELS = (("+", "-"), ("*", "/"))
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +224,14 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind in ("+", "-"):
-            e = _BINARY[self.take().kind](e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().kind in ("*", "/"):
-            e = _BINARY[self.take().kind](e, self.factor())
+    def expr(self, level: int = 0) -> Expr:
+        """A chain of `_LEVELS[level]` operators over the next level, read
+        in a loop (left-associated), so a long chain costs no recursion."""
+        if level == len(_LEVELS):
+            return self.factor()
+        e = self.expr(level + 1)
+        while self.peek().kind in _LEVELS[level]:
+            e = _BINARY[self.take().kind](e, self.expr(level + 1))
         return e
 
     def factor(self) -> Expr:
@@ -446,6 +447,14 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="certification width (default 1/1000000)")
     cp.add_argument("--budget", type=int, metavar="B",
                     help="cap on the precision denominator while separating cuts")
+    # Every option but -h is spelled --name, so an argument with one leading
+    # "-" is an expression such as -sqrt(2).  argparse has no public switch
+    # for that; it passes through as values the arguments its private
+    # negative-number pattern matches, so widen that pattern.  It is set
+    # after the options are added: a registered option matching it (as -h
+    # would) switches the pass-through off.
+    for command in (ev, cp):
+        command._negative_number_matcher = re.compile(r"^-(?!-)")
     return parser
 
 

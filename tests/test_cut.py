@@ -152,6 +152,33 @@ class TestNextMemberAbove:
         assert membership_leaf(leaf, y)
         assert leaf_member_oracle(leaf, y)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(root_cut, st.integers(2, 12), small_rationals),
+           st.sampled_from([1, 10, 10 ** 6, 10 ** 20, 10 ** 45, 10 ** 60]))
+    def test_root_climbs_from_fine_brackets(self, leaf, n):
+        # a bracket's lo sits within 1/n below the root: the climb has to
+        # find a member in that last sliver
+        x = bracket(leaf, n).lo
+        y = next_member_above(leaf, x)
+        assert x < y
+        assert leaf_member_oracle(leaf, y)
+
+    def test_high_degree_root_climbs_in_bounded_time(self):
+        leaf = root_cut(5000, q(999, 998))
+        x = bracket(leaf, 10 ** 30).lo
+        start = time.perf_counter()
+        y = next_member_above(leaf, x)
+        assert time.perf_counter() - start < 2
+        assert x < y
+        assert leaf_member_oracle(leaf, y)
+
+    def test_oracle_leaf_climbs_by_bisection(self):
+        leaf = oracle_cut(lambda x: x < q(3, 2), q(1), q(2))
+        # the midpoint of 1 and 2 is not a member; the next one, 5/4, is
+        assert next_member_above(leaf, q(1)) == q(5, 4)
+        y = next_member_above(leaf, q(149, 100))
+        assert q(149, 100) < y < q(3, 2)
+
 
 # ===========================================================================
 # brackets on leaves
@@ -346,6 +373,19 @@ class TestCompositeBrackets:
         with pytest.raises(PrecisionBudgetExhausted):
             bracket(d, 10, budget=2)
         assert straddles(bracket(d, 10), Fraction(1, 64))
+
+    def test_difference_separating_late_serves_any_request_order(self):
+        # the operands are 1/64 apart, so no bracket separates them at
+        # t = 1; the upper one is a cached composite
+        lower = s_r(q(1))
+        upper = add(s_r(q(1, 2)), s_r(q(1, 2) + q(1, 64)))
+        d = difference(lower, upper)
+        with pytest.raises(PrecisionBudgetExhausted):
+            bracket(d, 10, budget=1)
+        for n in (10, 10 ** 6, 10 ** 3):
+            b = bracket(d, n)
+            assert straddles(b, Fraction(1, 64))
+            assert fr(b.width) <= Fraction(1, n)
 
     @given(st.lists(small_rationals, min_size=1, max_size=5), precisions)
     @settings(max_examples=50, deadline=None)

@@ -1,5 +1,6 @@
 """Expression grammar, evaluation, and the command line contract."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from segreals import (
     ParseError,
     ZeroDivisorAtPrecision,
     evaluate,
+    exprcli,
     parse,
     rational_interval,
     unparse,
@@ -109,6 +111,14 @@ class TestParse:
     def test_domain_errors(self, text):
         with pytest.raises(DomainError):
             parse(text)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_long_chains_parse_without_recursion(self, op):
+        # the operator loop is iterative; only evaluation recurses per level
+        e, depth = parse(op.join(["1"] * 3000)), 0
+        while not isinstance(e, Literal):
+            e, depth = e.left, depth + 1
+        assert depth == 2999
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -406,11 +416,42 @@ class TestCli:
         code, out, err = run_cli(["eval", "2", "--interval", "zero"])
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv, separated", [
+        (["eval", "-sqrt(2)"], ["eval", "--", "-sqrt(2)"]),
+        (["eval", "-5/2", "--interval", "1/10"], ["eval", "--interval", "1/10", "--", "-5/2"]),
+        (["eval", "-(-(3))", "--digits", "2"], ["eval", "--digits", "2", "--", "-(-(3))"]),
+        (["compare", "-sqrt(2)", "1"], ["compare", "--", "-sqrt(2)", "1"]),
+        (["compare", "1", "-sqrt(2)"], ["compare", "--", "1", "-sqrt(2)"]),
+    ])
+    def test_leading_minus_is_an_expression(self, argv, separated):
+        # every option is spelled --name, so "-" starts an expression
+        code, out, err = run_cli(argv)
+        assert code == 0 and out and err == ""
+        assert run_cli(separated) == (code, out, err)
+
+    def test_help_still_an_option(self):
+        code, out, err = run_cli(["eval", "-h"])
+        assert code == 0 and out.startswith("usage: reals eval") and err == ""
+
     def test_bad_digits_value(self):
         # rejected before the precision 10^(digits + 2) is computed from it
         for value in ("0", "-3"):
             assert run_cli(["eval", "1/(1-1)", "--digits", value]) == \
                 (2, "", f"error: --digits must be at least 1, got {value}\n")
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (["eval", "sqrt(2)", "--digits", "3"], 0, "1.414\n"),
+        (["eval", "1 +"], 2, ""),
+        (["eval", "1/0"], 3, ""),
+    ])
+    def test_main_exits_with_the_cli_code(self, monkeypatch, capsys, argv, code, stdout):
+        monkeypatch.setattr(sys, "argv", ["reals", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            exprcli.main()
+        assert exit_.value.code == code
+        assert capsys.readouterr().out == stdout
 
 
 class TestCliConfig:
