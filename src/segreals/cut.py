@@ -20,7 +20,11 @@ and ``repr`` is its s-expression; each leaf kind also climbs to a
 member above a given one (``_climb``, behind ``next_member_above``).
 ``bracket`` is the single entry point; it validates the precision and
 owns the cache, and composite nodes recurse through it, never through
-each other's ``_fresh``.  The cache is one slot per node, and a node's
+each other's ``_fresh``.  A sum is the one exception to one bracket
+per node: a sum subtree is bracketed as one sum of its k terms, each
+asked at n*2^ceil(log2 k), without recursion, so a chain of sums costs
+neither a bracket nor a halving of the tolerance per level.  The cache
+is one slot per node, and a node's
 only mutable state: the tightest bracket seen so far.  A bracket of
 width w answers every request with w*n <= 1, so a shared node asked at
 several precisions is computed once per refinement, not once per
@@ -272,7 +276,14 @@ class OracleCut(Leaf):
 
 
 class Sum(Cut):
-    """Pairwise sums of members of the two operands."""
+    """Pairwise sums of members of the two operands.
+
+    A chain of sums is one sum of k terms, and is bracketed in one pass:
+    `_fresh` gathers the terms of the whole sum subtree and asks each
+    for width 1/(n*2^j), with 2^j the least power of two >= k, so the k
+    widths add up to at most 1/n.  A two-term sum asks each side at 2n,
+    and no term is asked finer than about 2kn however deep the chain.
+    """
 
     __slots__ = ("left", "right")
 
@@ -282,10 +293,22 @@ class Sum(Cut):
         self.right = right
 
     def _fresh(self, n: int, budget: int) -> Bracket:
-        # widths add, so ask each operand for half the tolerance
-        ba = bracket(self.left, 2 * n, budget)
-        bb = bracket(self.right, 2 * n, budget)
-        return Bracket(ba.lo + bb.lo, ba.hi + bb.hi)
+        # the terms, left to right: a nested sum is opened into its
+        # operands unless it holds a bracket already, or was opened before
+        # in this pass; then it stays one term, refined through its own
+        # cache, and a sum that doubles a shared one costs its depth, not
+        # 2^depth
+        terms, opened, stack = [], set(), [self.right, self.left]
+        while stack:
+            c = stack.pop()
+            if isinstance(c, Sum) and c._best[1] is None and id(c) not in opened:
+                opened.add(id(c))
+                stack += (c.right, c.left)
+            else:
+                terms.append(c)
+        m = n << (len(terms) - 1).bit_length()
+        parts = [bracket(t, m, budget) for t in terms]
+        return Bracket(_total([p.lo for p in parts]), _total([p.hi for p in parts]))
 
     def __repr__(self) -> str:
         return f"(sum {self.left!r} {self.right!r})"
@@ -593,6 +616,24 @@ def _iroot(t: int, d: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def _total(points: list[PosRational]) -> PosRational:
+    """The exact sum of the points, added on integers and reduced once.
+
+    The running denominator is the least common multiple of the points'
+    denominators, which on the dyadic grids of leaf brackets stays near
+    the largest of them, instead of their product.
+    """
+    num, den = 0, 1
+    for p in points:
+        g = math.gcd(den, p.den)
+        if g == p.den:
+            num += p.num * (den // g)
+        else:
+            f = p.den // g
+            num, den = num * f + p.num * (den // g), den * f
+    return PosRational(num, den)
 
 
 def _clamp(fine: Bracket, coarse: Bracket) -> Bracket:

@@ -336,29 +336,47 @@ def unparse(e: Expr) -> str:
 
 
 def evaluate(e: Expr, n: int, budget: int | None = None) -> Real:
-    """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n."""
-    if isinstance(e, Literal):
-        return g_embed(e.value)
-    if isinstance(e, Binary):
-        x = evaluate(e.left, n, budget)
-        y = evaluate(e.right, n, budget)
-        if isinstance(e, Div):
+    """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n.
+
+    Nodes are evaluated in post-order, operands left to right, as a
+    recursive walk would, so the first error met is the same; the walk
+    keeps an explicit stack, so a long flat chain costs no recursion.
+    """
+    todo: list[tuple[Expr, bool]] = [(e, False)]  # (node, operands evaluated)
+    values: list[Real] = []
+    while todo:
+        e, ready = todo.pop()
+        if isinstance(e, Binary):
+            if not ready:
+                todo += ((e, True), (e.right, False), (e.left, False))
+                continue
+            y = values.pop()
+            x = values.pop()
+            if isinstance(e, Div):
+                try:
+                    y = real.inv(y, n, budget)
+                except ZeroAtPrecision as exc:
+                    raise ZeroDivisorAtPrecision(n) from exc
+            values.append(e.combine(x, y))
+        elif isinstance(e, Neg):
+            if not ready:
+                todo += ((e, True), (e.operand, False))
+                continue
+            values.append(real.neg(values.pop()))
+        elif isinstance(e, Literal):
+            values.append(g_embed(e.value))
+        elif isinstance(e, Root):
             try:
-                y = real.inv(y, n, budget)
-            except ZeroAtPrecision as exc:
-                raise ZeroDivisorAtPrecision(n) from exc
-        return e.combine(x, y)
-    if isinstance(e, Neg):
-        return real.neg(evaluate(e.operand, n, budget))
-    if isinstance(e, Root):
-        try:
-            radicand = PosRational(*e.radicand.value.as_integer_ratio())
-            return f_embed(cut.root_cut(e.degree, radicand))
-        except NonPositiveError:
-            raise DomainError("root radicand must be a positive rational literal") from None
-        except cut.BadDegreeError as exc:
-            raise DomainError(str(exc)) from None
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+                radicand = PosRational(*e.radicand.value.as_integer_ratio())
+                values.append(f_embed(cut.root_cut(e.degree, radicand)))
+            except NonPositiveError:
+                raise DomainError(
+                    "root radicand must be a positive rational literal") from None
+            except cut.BadDegreeError as exc:
+                raise DomainError(str(exc)) from None
+        else:
+            raise TypeError(f"cannot evaluate {type(e).__name__}")
+    return values.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +506,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser is iterative, but evaluating and bracketing recurse
-        # once per tree level, so a long flat chain can still run out
+        # parsing, evaluating and bracketing a flat sum are iterative, but
+        # a product brackets its operands by recursion, so a long "*"
+        # chain can still run out
         print("error: expression is too deep to evaluate", file=sys.stderr)
         return 2
     except (ZeroDivisorAtPrecision, ZeroAtPrecision,

@@ -731,6 +731,131 @@ class TestMemoisation:
         assert all(b.lo == results[0].lo and b.hi == results[0].hi for b in results)
 
 
+def sum_tree(terms: list, shape: str):
+    """The sum of `terms` as a left-deep, right-deep or balanced tree."""
+    if shape == "balanced" and len(terms) > 1:
+        mid = len(terms) // 2
+        return add(sum_tree(terms[:mid], shape), sum_tree(terms[mid:], shape))
+    if shape == "right":
+        terms = terms[::-1]
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t) if shape == "left" else add(t, total)
+    return total
+
+
+@pytest.fixture
+def asked(counted, monkeypatch):
+    """Every (node, n) that cut.bracket is asked, in order, beside `counted`."""
+    cut_module, brackets, _ = counted
+    requests = []
+    counting = cut_module.bracket
+
+    def recording(a, n, budget=None):
+        requests.append((a, n))
+        return counting(a, n, budget)
+
+    monkeypatch.setattr(cut_module, "bracket", recording)
+    return cut_module, brackets, requests
+
+
+class TestFlatSums:
+    """A sum subtree is bracketed in one pass over its k terms, each asked
+    at n * 2^ceil(log2 k), however deep the subtree is."""
+
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(st.tuples(st.sampled_from(["rational", "sqrt", "product", "inverse",
+                                               "shared", "scaled"]), small_rationals),
+                    min_size=1, max_size=40),
+           st.sampled_from(["left", "right", "balanced"]),
+           st.sampled_from([None, 1, 1000, 10 ** 9]),
+           st.sampled_from([1, 10, 1000, 10 ** 6, 10 ** 12]))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_trees_stay_certified(self, p, specs, shape, prebracket, n):
+        root = root_cut(2, q(p))
+        # one nested sum appears as a term, inside products, or both; it
+        # is bracketed beforehand or not
+        shared = sum_tree([s_r(q(1, 3)), root, s_r(q(2))], shape)
+        if prebracket is not None:
+            bracket(shared, prebracket)
+        make = {"rational": s_r, "sqrt": lambda r: root,
+                "product": lambda r: mul(s_r(r), root),
+                "inverse": lambda r: inverse(add(s_r(r), root)),
+                "shared": lambda r: shared, "scaled": lambda r: mul(shared, s_r(r))}
+        top = sum_tree([make[kind](r) for kind, r in specs], shape)
+        a, b = surd_values([top], p)[id(top)][1]
+        for m in (n, 10 * n):
+            br = bracket(top, m)
+            assert fr(br.width) <= Fraction(1, m)
+            assert surd_sign(a - fr(br.lo), b, p) > 0  # lo < value
+            assert surd_sign(fr(br.hi) - a, -b, p) >= 0  # value <= hi
+
+    @pytest.mark.parametrize("k, scale", [(2, 2), (3, 4), (40, 64), (300, 512)])
+    def test_chain_asks_each_term_once(self, asked, k, scale):
+        cut_module, brackets, requests = asked
+        terms = [s_r(q(j, 7)) if j % 3 else root_cut(2, q(j)) for j in range(1, k + 1)]
+        top = sum_tree(terms, "left")
+        cut_module.bracket(top, 1000)
+        assert brackets["Sum"] == 1
+        assert requests[0] == (top, 1000)
+        assert [t for t, _ in requests[1:]] == terms
+        assert {m for _, m in requests[1:]} == {1000 * scale}
+
+    @pytest.mark.parametrize("prebracket", [False, True])
+    def test_nested_sum_with_a_bracket_is_one_term(self, asked, prebracket):
+        cut_module, brackets, requests = asked
+        a, b, c, d = s_r(q(1, 2)), root_cut(2, q(3)), s_r(q(5, 4)), root_cut(3, q(7))
+        inner = add(b, c)
+        if prebracket:
+            bracket(inner, 10 ** 9)
+        top = add(add(a, inner), d)
+        requests.clear()
+        brackets.clear()
+        cut_module.bracket(top, 1000)
+        if prebracket:  # three terms, and the inner sum serves from its cache
+            assert requests == [(top, 1000), (a, 4000), (inner, 4000), (d, 4000)]
+            assert brackets["Sum"] == 2
+        else:  # opened: four terms
+            assert requests == [(top, 1000), (a, 4000), (b, 4000), (c, 4000), (d, 4000)]
+            assert brackets["Sum"] == 1
+
+    @pytest.mark.parametrize("depth", [20, 60])
+    def test_doubling_a_shared_sum_is_not_exponential(self, counted, monkeypatch, depth):
+        # x = x + x, `depth` times: a sum opened once in a pass stays one
+        # term when it is reached again, so 2^depth leaves are never walked
+        cut_module, brackets, _ = counted
+        counting = cut_module.bracket
+
+        def bounded(a, n, budget=None):
+            assert sum(brackets.values()) < 2 * depth ** 2, "more calls than depth^2"
+            return counting(a, n, budget)
+
+        monkeypatch.setattr(cut_module, "bracket", bounded)
+        x = s_r(q(1))
+        for _ in range(depth):
+            x = add(x, x)
+        br = cut_module.bracket(x, 10 ** 6)
+        assert straddles(br, Fraction(2 ** depth))
+        assert fr(br.width) <= Fraction(1, 10 ** 6)
+
+    def test_twenty_thousand_terms_without_recursion(self):
+        terms = [s_r(q(j % 7 + 1, 3)) if j % 2 else root_cut(2, q(2)) for j in range(20000)]
+        top = sum_tree(terms, "left")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(min(limit, 1000))  # the interpreter's default
+        try:
+            start = time.perf_counter()
+            br = bracket(top, 10 ** 6)
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.setrecursionlimit(limit)
+        assert elapsed < 2
+        assert fr(br.width) <= Fraction(1, 10 ** 6)
+        rational = sum(Fraction(j % 7 + 1, 3) for j in range(1, 20000, 2))
+        assert surd_sign(rational - fr(br.lo), Fraction(10000), 2) > 0
+        assert surd_sign(fr(br.hi) - rational, Fraction(-10000), 2) >= 0
+
+
 class TestTraceHooks:
     """Composite nodes recurse through the module attribute `cut.bracket`
     and leaves are tested through `cut.membership_leaf`, so one wrapper on

@@ -114,7 +114,7 @@ class TestParse:
 
     @pytest.mark.parametrize("op", ["+", "-", "*"])
     def test_long_chains_parse_without_recursion(self, op):
-        # the operator loop is iterative; only evaluation recurses per level
+        # the operator loop is iterative
         e, depth = parse(op.join(["1"] * 3000)), 0
         while not isinstance(e, Literal):
             e, depth = e.left, depth + 1
@@ -386,13 +386,23 @@ class TestCli:
         assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
-    def test_long_flat_chain_exits_cleanly(self, command):
-        chain = "+".join(["1"] * 3000)
+    def test_long_product_chain_exits_cleanly(self, command):
+        # a product brackets its operands by recursion, so a chain deeper
+        # than the interpreter's recursion limit ends in one error line
+        chain = "*".join(["1"] * 3000)
         argv = ["eval", chain] if command == "eval" else ["compare", chain, "1"]
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "recursion" not in err
+
+    @pytest.mark.parametrize("op", ["+", "-"])
+    def test_long_flat_chain_evaluates(self, op):
+        # evaluating and bracketing a flat sum are iterative
+        text = "1" + f" {op} 1" * 2999
+        value, order = ("3000.00000", "greater") if op == "+" else ("-2998.00000", "less")
+        assert run_cli(["eval", text, "--digits", "5"]) == (0, value + "\n", "")
+        assert run_cli(["compare", text, "1"]) == (0, order + "\n", "")
 
     def test_moderate_flat_chain_evaluates(self):
         assert run_cli(["eval", "+".join(["1"] * 400), "--digits", "3"]) \

@@ -2,8 +2,11 @@
 
 Trees of bounded depth over rational literals, square and higher roots,
 the four operators and unary minus are rendered with `unparse` and run
-through `cli_main` at two widths.  Every run must end with exit 0, 2 or
-3 and at most one diagnostic line; exit-0 intervals must be as narrow as
+through `cli_main` at two widths, half of them with `--` before the
+expression and half without, so a text starting with `-(` is read as
+an expression.  Flat `+`/`-` chains of 3 to 60 leaves, written without
+parentheses, go through the same checks.  Every run must end with exit
+0, 2 or 3 and at most one diagnostic line; exit-0 intervals must be as narrow as
 asked, agree with the library, intersect each other and contain the
 exact value (a Fraction for root-free trees, an enclosure built from the
 integer root oracles otherwise).  A few leaves are invalid roots, which
@@ -34,6 +37,8 @@ from support import root_bounds, run_cli
 SEEDS = range(24)
 TREES_PER_SEED = 20
 MAX_DEPTH = 4
+CHAIN_SEEDS = range(8)
+CHAINS_PER_SEED = 10
 WIDTHS = (10, 1000, 10 ** 6)
 # oracle enclosure scales, tried in turn until the value is decided
 ORACLE_SCALES = (10 ** 12, 10 ** 40, 10 ** 120)
@@ -47,13 +52,13 @@ def _positive(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 60), rng.randint(1, 60))
 
 
-def _leaf(rng: random.Random):
+def _leaf(rng: random.Random, valid_below: float = 0.96):
     roll = rng.random()
     if roll < 0.05:
         return Literal(Fraction(0))
     if roll < 0.5:
         return Literal(_positive(rng))
-    if roll < 0.96:
+    if roll < valid_below:
         return Root(rng.choice((2, 2, 3, 4, 5)), Literal(_positive(rng)))
     # an invalid root: each argument rule is broken now and then
     return rng.choice((
@@ -71,6 +76,21 @@ def _tree(rng: random.Random, depth: int):
         return Neg(_tree(rng, depth - 1))
     op = (Add, Sub, Mul, Div)[kind]
     return op(_tree(rng, depth - 1), _tree(rng, depth - 1))
+
+
+def _chain(rng: random.Random):
+    """A left-deep chain of 3 to 60 leaves joined by `+` and `-`, its first
+    leaf negated now and then, and its text written without parentheses.
+    About one chain in four holds an invalid root."""
+    first = _leaf(rng, valid_below=0.995)
+    tree, text = first, unparse(first)
+    if rng.random() < 0.3:
+        tree, text = Neg(first), "-" + text
+    for _ in range(rng.randint(2, 59)):
+        op = rng.choice((Add, Sub))
+        leaf = _leaf(rng, valid_below=0.995)
+        tree, text = op(tree, leaf), f"{text} {op.symbol} {unparse(leaf)}"
+    return tree, text
 
 
 def _roots(e):
@@ -125,9 +145,10 @@ def _interval(out: str) -> tuple[Fraction, Fraction]:
     return Fraction(lo), Fraction(hi)
 
 
-def _argv(text: str, n: int) -> list[str]:
-    # "--" keeps a text that starts with "-(" from being read as an option
-    return ["eval", "--interval", f"1/{n}", "--", text]
+def _argv(text: str, n: int, separate: bool) -> list[str]:
+    # cli_main reads a text that starts with "-" as an expression, with
+    # or without the "--" separator before it
+    return ["eval", "--interval", f"1/{n}"] + ["--"] * separate + [text]
 
 
 def _check_error_line(out: str, err: str) -> None:
@@ -136,11 +157,11 @@ def _check_error_line(out: str, err: str) -> None:
     assert "Traceback" not in err
 
 
-def _check_invalid(tree, text: str, n: int) -> None:
+def _check_invalid(tree, text: str, n: int, separate: bool) -> None:
     with pytest.raises(DomainError) as parsed:
         parse(text)
     assert parsed.value.offset is not None
-    code, out, err = run_cli(_argv(text, n))
+    code, out, err = run_cli(_argv(text, n, separate))
     assert code == 2
     _check_error_line(out, err)
     assert err == f"error: {parsed.value}\n"
@@ -156,12 +177,12 @@ def _check_invalid(tree, text: str, n: int) -> None:
         raise AssertionError("an invalid root evaluated")
 
 
-def _check_valid(tree, text: str, n: int) -> int:
+def _check_valid(tree, text: str, n: int, separate: bool) -> int:
     """Run one valid tree at widths 1/n and 1/(4n); the number of exit-0 runs."""
     assert parse(text) == tree
     answers = []
     for m in (n, 4 * n):
-        code, out, err = run_cli(_argv(text, m))
+        code, out, err = run_cli(_argv(text, m, separate))
         assert code in (0, 3)
         if code == 3:
             _check_error_line(out, err)
@@ -197,23 +218,51 @@ def _check_valid(tree, text: str, n: int) -> int:
     return len(answers)
 
 
+def _check_cases(seed: int, kind: str, cases) -> None:
+    """Check each (tree, text, n, separate) case; most of them must answer,
+    so the interval checks are not vacuous."""
+    answered = total = 0
+    for i, (tree, text, n, separate) in enumerate(cases):
+        where = f"seed {seed}, {kind} {i}: eval {'-- ' * separate}{text!r} --interval 1/{n}"
+        try:
+            if all(map(_valid, _roots(tree))):
+                answered += _check_valid(tree, text, n, separate)
+            else:
+                _check_invalid(tree, text, n, separate)
+        except AssertionError as exc:
+            raise AssertionError(f"{where}: {exc}") from exc
+        total += 1
+    assert answered >= total // 2, f"seed {seed}: {answered} answers"
+
+
+def _sqrt_half(rng: random.Random, text: str) -> str:
+    return text.replace("root(2, ", "sqrt(") if rng.random() < 0.5 else text
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_expressions(seed):
     rng = random.Random(seed)
-    answered = 0
-    for i in range(TREES_PER_SEED):
-        tree = _tree(rng, MAX_DEPTH)
-        text = unparse(tree)
-        if rng.random() < 0.5:
-            text = text.replace("root(2, ", "sqrt(")
-        n = rng.choice(WIDTHS)
-        where = f"seed {seed}, tree {i}: eval {text!r} --interval 1/{n}"
-        try:
-            if all(map(_valid, _roots(tree))):
-                answered += _check_valid(tree, text, n)
-            else:
-                _check_invalid(tree, text, n)
-        except AssertionError as exc:
-            raise AssertionError(f"{where}: {exc}") from exc
-    # most runs answer, so the interval checks are not vacuous
-    assert answered >= TREES_PER_SEED // 2, f"seed {seed}: {answered} answers"
+    # which trees get "--" comes from its own generator, so the trees
+    # stay those of the same seed without it
+    separators = random.Random(-1 - seed)
+
+    def cases():
+        for _ in range(TREES_PER_SEED):
+            tree = _tree(rng, MAX_DEPTH)
+            text = _sqrt_half(rng, unparse(tree))
+            yield tree, text, rng.choice(WIDTHS), separators.random() < 0.5
+
+    _check_cases(seed, "tree", cases())
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
+def test_flat_chains(seed):
+    rng = random.Random(seed)
+
+    def cases():
+        for _ in range(CHAINS_PER_SEED):
+            tree, text = _chain(rng)
+            text = _sqrt_half(rng, text)
+            yield tree, text, rng.choice(WIDTHS), rng.random() < 0.5
+
+    _check_cases(seed, "chain", cases())
