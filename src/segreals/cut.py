@@ -35,6 +35,19 @@ keeps their brackets independent of what was asked before.  The same
 closed form climbs, without a membership test.  Leaf membership inside
 this module goes through ``membership_leaf``, so wrapping those two
 module attributes sees every bracket and every membership test.
+
+A bracket's endpoints need not be the exact rationals the arithmetic
+produced.  ``Product`` and ``Inverse`` round theirs outward onto the
+dyadic grid 1/2^k with 2^k >= 4n: ``lo`` down, ``hi`` up.  A cut is
+downward closed, so ``lo`` stays a member and ``hi`` a non-member, and
+the two grid steps, 1/(2n) together, are paid from the node's own
+tolerance split.  Their endpoints then have about log2(n) bits plus
+the bits of the value, instead of multiplying with every nested
+product or inverse.  ``Sum`` and ``Difference`` are not rounded: their
+endpoints are sums and differences of their operands' endpoints, whose
+bits add rather than multiply, so rounding them would spend width
+without bounding any growth, and would change the intervals of plain
+sums such as ``2 + 3/4``.
 """
 
 from __future__ import annotations
@@ -176,19 +189,19 @@ class Leaf(Cut):
 class RationalCut(Leaf):
     """All positive rationals strictly below a given one."""
 
-    __slots__ = ("bound",)
+    __slots__ = ("bound", "_witnesses")
 
     def __init__(self, bound: PosRational) -> None:
         super().__init__()
         self.bound = bound
+        # mediant of the bound with the origin corner: always a member
+        self._witnesses = PosRational(bound.num, bound.den + 1), bound
 
     def contains(self, x: PosRational) -> bool:
         return x < self.bound
 
     def witnesses(self) -> tuple[PosRational, PosRational]:
-        r = self.bound
-        # mediant of r with the origin corner: always a member
-        return PosRational(r.num, r.den + 1), r
+        return self._witnesses
 
     def largest_member_numerator(self, den: int) -> int:
         """The largest integer y with y/den a member: y*b.den < b.num*den."""
@@ -315,7 +328,14 @@ class Sum(Cut):
 
 
 class Product(Cut):
-    """Pairwise products of members of the two operands."""
+    """Pairwise products of members of the two operands.
+
+    Each operand is asked at ceil(2n * M), with M the sum of their coarse
+    upper ends, so the exact product of the endpoints is at most 1/(2n)
+    wide.  It is then rounded outward onto the grid 1/2^k, 2^k >= 4n,
+    at most 1/(2n) more.  A lower end with no positive grid point below
+    it is kept unrounded, since a bracket's lower end is never 0.
+    """
 
     __slots__ = ("left", "right")
 
@@ -326,20 +346,32 @@ class Product(Cut):
 
     def _fresh(self, n: int, budget: int) -> Bracket:
         # magnitude first: hi_left + hi_right bounds the derivative of x*y on
-        # the enclosure, so refining both operands to ceil(n * M) suffices
+        # the enclosure, so operands at ceil(2n * M) leave the exact product
+        # at most 1/(2n) wide, and the two grid steps take the other half
         ca = bracket(self.left, 1, budget)
         cb = bracket(self.right, 1, budget)
-        m = max(n, ceil_int(PosRational(n) * (ca.hi + cb.hi)))
+        m = ceil_int(PosRational(2 * n) * (ca.hi + cb.hi))
         fa = _clamp(bracket(self.left, m, budget), ca)
         fb = _clamp(bracket(self.right, m, budget), cb)
-        return Bracket(fa.lo * fb.lo, fa.hi * fb.hi)
+        k = _grid_bits(n)
+        lo = fa.lo * fb.lo
+        # a member too small for the grid stays as it is
+        return Bracket(_grid_below(lo, k) or lo, _grid_above(fa.hi * fb.hi, k))
 
     def __repr__(self) -> str:
         return f"(product {self.left!r} {self.right!r})"
 
 
 class Inverse(Cut):
-    """Rationals lying below the reciprocal of some non-member."""
+    """Rationals lying below the reciprocal of some non-member.
+
+    From an operand bracket (x, y] at most x0^2/(2n) wide, 1/x - 1/y is
+    at most 1/(2n).  Then 1/x is rounded up and 1/y strictly down onto
+    the grid 1/2^k, 2^k >= 4n, at most 1/(2n) more; strictly, because
+    1/y itself is a member only when y is above the operand's value.
+    When 1/y <= 1/2^k has no positive grid point below it, the lower end
+    is y.den/(y.num + 1), below 1/y by less than 1/y.
+    """
 
     __slots__ = ("operand",)
 
@@ -356,12 +388,11 @@ class Inverse(Cut):
         m = max(1, ceil_int(PosRational(2 * n * x0.den ** 2, x0.num ** 2)))
         fine = _clamp(bracket(self.operand, m, budget), coarse)
         x, y = fine.lo, fine.hi
-        hi = x.reciprocal()  # above every member of the inverse set
-        # a member: anything strictly below 1/y qualifies since y is outside
-        # the operand; shave 1/(y*(k+1)) <= 1/(2n) off the reciprocal
-        k = max(1, ceil_int(PosRational(2 * n * y.den, y.num)))
-        lo = y.reciprocal() * PosRational(k, k + 1)
-        return Bracket(lo, hi)
+        k = _grid_bits(n)
+        # y is outside the operand, so everything strictly below 1/y is a
+        # member, and 1/x is above every member
+        lo = _grid_below(y.reciprocal(), k) or PosRational(y.den, y.num + 1)
+        return Bracket(lo, _grid_above(x.reciprocal(), k))
 
     def __repr__(self) -> str:
         return f"(inverse {self.operand!r})"
@@ -634,6 +665,29 @@ def _total(points: list[PosRational]) -> PosRational:
             f = p.den // g
             num, den = num * f + p.num * (den // g), den * f
     return PosRational(num, den)
+
+
+def _grid_bits(n: int) -> int:
+    """The least k with 2^k >= 4n: two steps of the grid 1/2^k cost at most 1/(2n)."""
+    return (4 * n - 1).bit_length()
+
+
+def _grid_below(x: PosRational, k: int) -> PosRational | None:
+    """The largest point of the grid 1/2^k strictly below x, if one is positive.
+
+    Within 1/2^k of x.  Cuts are downward closed, so it is a member
+    whenever everything below x is.
+    """
+    j = ((x.num << k) - 1) // x.den
+    return PosRational(j, 1 << k) if j else None
+
+
+def _grid_above(x: PosRational, k: int) -> PosRational:
+    """The least point of the grid 1/2^k at or above x, within 1/2^k of it.
+
+    Every rational above a non-member is a non-member.
+    """
+    return PosRational(-(-(x.num << k) // x.den), 1 << k)
 
 
 def _clamp(fine: Bracket, coarse: Bracket) -> Bracket:

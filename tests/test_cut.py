@@ -47,6 +47,9 @@ from segreals.cut import (
     RootCut,
     Sum,
     _bisect,
+    _grid_above,
+    _grid_below,
+    _grid_bits,
     _grid_bracket,
     _iroot,
     add,
@@ -854,6 +857,92 @@ class TestFlatSums:
         rational = sum(Fraction(j % 7 + 1, 3) for j in range(1, 20000, 2))
         assert surd_sign(rational - fr(br.lo), Fraction(10000), 2) > 0
         assert surd_sign(fr(br.hi) - rational, Fraction(-10000), 2) >= 0
+
+
+def dyadic(x: PosRational) -> bool:
+    return x.den & (x.den - 1) == 0
+
+
+class TestOutwardRounding:
+    """Products and inverses round their brackets outward onto the grid
+    1/2^k with 2^k >= 4n, so their endpoints track the precision served."""
+
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(small_rationals, min_size=1, max_size=3),
+           st.lists(st.tuples(st.sampled_from(["mul", "inv"]),
+                              st.integers(0, 99), st.integers(0, 99)),
+                    min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(0, 999),
+                              st.sampled_from([1, 3, 10, 97, 1000, 10 ** 6, 10 ** 12])),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_product_and_inverse_trees_stay_certified(self, p, consts, ops, requests):
+        pool = [root_cut(2, q(p))] + [s_r(c) for c in consts]
+        for op, i, j in ops:
+            x, y = pool[i % len(pool)], pool[j % len(pool)]
+            pool.append(mul(x, y) if op == "mul" else inverse(x))
+        nodes = list(surd_values(pool, p).values())
+        # every node, first at the requested precisions in the drawn order,
+        # then each at 10^6, so nodes nested in others are asked directly too
+        for k, n in requests + [(k, 10 ** 6) for k in range(len(nodes))]:
+            c, (a, b) = nodes[k % len(nodes)]
+            br = bracket(c, n)
+            assert fr(br.width) <= Fraction(1, n)
+            assert surd_sign(a - fr(br.lo), b, p) > 0  # lo < value
+            assert surd_sign(fr(br.hi) - a, -b, p) >= 0  # value <= hi
+            if isinstance(c, (Product, Inverse)):
+                assert dyadic(br.hi)
+                # off the grid only when no positive grid point is below it,
+                # on a grid at least 1/4 fine (the bracket served may have
+                # been computed for a coarser request than n)
+                assert dyadic(br.lo) or 4 * br.lo.num <= br.lo.den
+
+    @given(st.builds(PosRational, st.integers(1, 10 ** 6), st.integers(1, 10 ** 12)),
+           st.integers(1, 10 ** 9))
+    def test_each_grid_step_costs_at_most_a_quarter_of_the_width(self, x, n):
+        k = _grid_bits(n)
+        assert 4 * n <= 2 ** k < 8 * n
+        step = Fraction(1, 2 ** k)
+        above, below = _grid_above(x, k), _grid_below(x, k)
+        assert dyadic(above) and fr(x) <= fr(above) < fr(x) + step
+        if below is None:
+            assert fr(x) <= step
+        else:
+            assert dyadic(below) and fr(x) - step <= fr(below) < fr(x)
+
+    def test_product_near_zero_keeps_a_positive_member(self):
+        # 1/10^30 * 1/(10^30 + 1): no grid point of a bracket at n = 10
+        # lies in (0, lo], so lo stays the unrounded member, near the value
+        a, b = s_r(q(1, 10 ** 30)), inverse(s_r(q(10 ** 30 + 1)))
+        value = Fraction(1, 10 ** 30 * (10 ** 30 + 1))
+        for c, v in ((b, Fraction(1, 10 ** 30 + 1)), (mul(a, b), value)):
+            br = bracket(c, 10)
+            assert v / 2 < fr(br.lo) < v <= fr(br.hi)
+            assert fr(br.width) <= Fraction(1, 10)
+            assert dyadic(br.hi) and not dyadic(br.lo)
+
+    @pytest.mark.parametrize("text", ["1/(" * 30 + "3" + ")" * 30,
+                                      "(2*" * 30 + "1" + ")" * 30])
+    def test_nested_endpoints_track_the_precision(self, counted, monkeypatch, text):
+        # without rounding, endpoint bits multiply with every level: a
+        # nested inverse passes 30 000 bits by L = 8.  With it they follow
+        # the precisions asked, which for the nested product grow about
+        # quadratically in L (each level asks its operands at 2n times
+        # their growing magnitude), about 970 bits at L = 30
+        cut_module, _, _ = counted
+        levels, n = 30, 10 ** 7
+        limit = 20 * (levels + n.bit_length())
+        counting = cut_module.bracket
+
+        def bounded(a, m, budget=None):
+            br = counting(a, m, budget)
+            bits = max(x.bit_length() for x in (br.lo.num, br.lo.den, br.hi.num, br.hi.den))
+            assert bits <= limit, f"{type(a).__name__} endpoint of {bits} bits"
+            return br
+
+        monkeypatch.setattr(cut_module, "bracket", bounded)
+        x = exprcli.evaluate(exprcli.parse(text), n)
+        assert approx.decimal(x, 5) == ("3.00000" if text[0] == "1" else f"{2 ** 30}.00000")
 
 
 class TestTraceHooks:

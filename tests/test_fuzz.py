@@ -5,7 +5,8 @@ the four operators and unary minus are rendered with `unparse` and run
 through `cli_main` at two widths, half of them with `--` before the
 expression and half without, so a text starting with `-(` is read as
 an expression.  Flat `+`/`-` chains of 3 to 60 leaves, written without
-parentheses, go through the same checks.  Every run must end with exit
+parentheses, and deep chains of 8 to 40 nested divisions, inverses or
+products go through the same checks.  Every run must end with exit
 0, 2 or 3 and at most one diagnostic line; exit-0 intervals must be as narrow as
 asked, agree with the library, intersect each other and contain the
 exact value (a Fraction for root-free trees, an enclosure built from the
@@ -39,6 +40,7 @@ TREES_PER_SEED = 20
 MAX_DEPTH = 4
 CHAIN_SEEDS = range(8)
 CHAINS_PER_SEED = 10
+DEEP_SEEDS = range(6)
 WIDTHS = (10, 1000, 10 ** 6)
 # oracle enclosure scales, tried in turn until the value is decided
 ORACLE_SCALES = (10 ** 12, 10 ** 40, 10 ** 120)
@@ -91,6 +93,27 @@ def _chain(rng: random.Random):
         leaf = _leaf(rng, valid_below=0.995)
         tree, text = op(tree, leaf), f"{text} {op.symbol} {unparse(leaf)}"
     return tree, text
+
+
+def _deep(rng: random.Random, kind: str):
+    """A right-nested chain of 8 to 40 levels, all of one kind: divisions
+    a / (b / (...)), inverses 1 / (1 / (...)) or products a * (b * (...)),
+    a level negated now and then.  Zero literals are left out, since one
+    anywhere in a chain zeroes it or one of its divisors, and about one
+    leaf in a thousand is an invalid root."""
+    def leaf():
+        while True:
+            e = _leaf(rng, valid_below=0.999)
+            if e != Literal(Fraction(0)):
+                return e
+
+    tree = leaf()
+    for _ in range(rng.randint(8, 40)):
+        left = Literal(Fraction(1)) if kind == "inv" else leaf()
+        tree = (Mul if kind == "mul" else Div)(left, tree)
+        if rng.random() < 0.1:
+            tree = Neg(tree)
+    return tree
 
 
 def _roots(e):
@@ -266,3 +289,16 @@ def test_flat_chains(seed):
             yield tree, text, rng.choice(WIDTHS), rng.random() < 0.5
 
     _check_cases(seed, "chain", cases())
+
+
+@pytest.mark.parametrize("seed", DEEP_SEEDS)
+def test_deep_chains(seed):
+    rng = random.Random(seed)
+
+    def cases():
+        for kind in ("div", "inv", "mul"):
+            tree = _deep(rng, kind)
+            text = _sqrt_half(rng, unparse(tree))
+            yield tree, text, rng.choice(WIDTHS), rng.random() < 0.5
+
+    _check_cases(seed, "deep chain", cases())
