@@ -50,6 +50,7 @@ from .real import (
     PositiveForm,
     Real,
     SignVerdict,
+    SignedReal,
     ZeroAtPrecision,
     ZeroForm,
     canonicalize,

@@ -8,6 +8,9 @@ Three maps, each preserving the arithmetic it can express:
   canonical way a magnitude becomes a signed real;
 * ``g_embed`` sends any signed rational, a ``Fraction`` or an ``int``,
   to a pair of rational cuts.
+
+Both results know their sign (zero excepted), so ``real.mul`` can
+multiply them through their magnitudes.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import cut, real
-from .qpos import ONE, PosRational
+from .qpos import PosRational
 from .cut import Cut
-from .real import Real
+from .real import Real, SignedReal
 
 
 class SignedRational:
@@ -37,22 +40,27 @@ def phi(r: PosRational) -> Cut:
 
 
 def f_embed(a: Cut) -> Real:
-    """A positive cut as a signed real, via the pair (a + S_1, S_1)."""
-    s1 = cut.s_r(ONE)
-    return Real(cut.add(a, s1), s1)
+    """A positive cut as a signed real, via the pair (a + S_1, S_1).
+
+    The result is positive with magnitude a.
+    """
+    return real.signed(a)
 
 
 def g_embed(q: Fraction | int) -> Real:
     """Any signed rational as a signed real built from rational cuts.
 
-    A magnitude m lands at (S_{m+1}, S_1) or its mirror; zero shares a
-    single S_1 node between the components so that downstream code can
-    recognise it syntactically.
+    A magnitude m lands at (S_{m+1}, S_1) or its mirror, and carries
+    S_m as its magnitude, so a product with it scales by m instead of
+    by the components; zero knows no sign, and shares a single S_1 node
+    between the components so that downstream code can recognise it
+    syntactically.
     """
     if q == 0:
         return real.zero()
-    shifted = cut.s_r(PosRational(abs(q.numerator) + q.denominator, q.denominator))
-    s1 = cut.s_r(ONE)
+    num, den = abs(q.numerator), q.denominator
+    shifted = cut.s_r(PosRational(num + den, den))
+    magnitude = cut.s_r(PosRational(num, den))
     if q > 0:
-        return Real(shifted, s1)
-    return Real(s1, shifted)
+        return SignedReal(shifted, real.S_ONE, magnitude, False)
+    return SignedReal(real.S_ONE, shifted, magnitude, True)

@@ -39,6 +39,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import approx, cut, real
 from .embed import f_embed, g_embed
@@ -139,40 +140,32 @@ _LEVELS = (("+", "-"), ("*", "/"))
 # parsing
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "name", one of "+-*/(),", or "end"
     text: str
     offset: int
 
 
+# The token at each offset, read by one pattern: a run of whitespace
+# (skipped), of decimal digits or of letters, an operator, or any other
+# character, which is an error.  On str patterns \s is str.isspace and \d
+# is str.isdecimal, character by character, but [^\W\d_] also takes
+# numerals that are not letters, such as "²" or "Ⅻ".
+_TOKEN = re.compile(r"\s+|(\d+)|([^\W\d_]+)|([-+*/(),])|(.)", re.DOTALL)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        group, word, i = m.lastindex, m.group(), m.start()
+        if group == 2 and not word.isalpha():
+            # the letters end at the first numeral, which no token takes
+            i += next(k for k, c in enumerate(word) if not c.isalpha())
+            group, word = 4, text[i]
+        if group == 4:
+            raise ParseError(f"unexpected character {word!r}", i)
+        if group is not None:
+            tokens.append(_Token(("int", "name", word)[group - 1], word, i))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

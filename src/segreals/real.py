@@ -4,12 +4,25 @@ A real is a pair (pos, neg) standing for the value of pos minus the
 value of neg.  Two pairs denote the same number exactly when cross sums
 agree, but that equality is never decided here; all observations go
 through brackets of the two components and carry their precision with
-them.  Addition is componentwise, negation swaps the components, and
-multiplication expands the formal product of differences:
+them.  Addition is componentwise and negation swaps the components.
+
+A real built as a literal, a root or an inverse also knows its sign
+from how it was built (an inverse from the certificate `inv` needs
+anyway): it is a `SignedReal`, which carries the positive cut C whose
+value is its magnitude, and is (C + S_1, S_1), or the mirror when
+negative.  Negation keeps what is
+known.  Multiplication uses what the factors know: two factors of known
+sign multiply their magnitudes in one product, one factor of known sign,
+magnitude C, scales the other's components as (C*c, C*d), and only when
+neither sign is known is the formal product of differences expanded:
 
     (a - b) * (c - d)  =  (ac + bd) - (ad + bc)
 
-so no operation ever needs to know the sign of its inputs.
+So the components of a product of known signs grow as its value does,
+where the expansion multiplies them by the factors' component sums:
+(2*x) would have four times x's components and only twice its value.
+Sums and differences know no sign, and every observer reads the pair
+alone.
 """
 
 from __future__ import annotations
@@ -85,10 +98,16 @@ CanonicalForm = PositiveForm | NegativeForm | ZeroForm | Indeterminate
 
 @dataclass(frozen=True, eq=False)
 class Real:
-    """A formal difference of two cuts.  Identity-based equality only."""
+    """A formal difference of two cuts.  Identity-based equality only.
+
+    Its sign is not known: `magnitude` is None.  A `SignedReal` knows it.
+    """
 
     pos: Cut
     neg: Cut
+    # class attributes, not fields: a SignedReal makes them fields
+    magnitude = None
+    negative = False
 
     def __add__(self, other: Real) -> Real:
         return add(self, other)
@@ -103,19 +122,42 @@ class Real:
         return neg(self)
 
 
+@dataclass(frozen=True, eq=False)
+class SignedReal(Real):
+    """A real whose sign is known from how it was built (see `signed`).
+
+    Its value is the value of the positive cut `magnitude`, or minus it
+    when `negative`.  Only `mul` reads them.
+    """
+
+    magnitude: Cut
+    negative: bool
+
+
 def from_pair(pos: Cut, neg: Cut) -> Real:
     return Real(pos, neg)
 
 
+# S_1, the cut of the rationals below 1, which every pair built here
+# is shifted by.  A rational leaf keeps no state, so one node serves all.
+S_ONE = cut.s_r(ONE)
+
+
+def signed(magnitude: Cut, negative: bool = False) -> SignedReal:
+    """The real of known sign (magnitude + S_1, S_1), or its mirror."""
+    shifted = cut.add(magnitude, S_ONE)
+    if negative:
+        return SignedReal(S_ONE, shifted, magnitude, True)
+    return SignedReal(shifted, S_ONE, magnitude, False)
+
+
 def zero() -> Real:
     """The pair (S_1, S_1); sharing the node makes the zero syntactic."""
-    s1 = cut.s_r(ONE)
-    return Real(s1, s1)
+    return Real(S_ONE, S_ONE)
 
 
 def unity() -> Real:
-    s1 = cut.s_r(ONE)
-    return Real(cut.add(s1, s1), s1)
+    return Real(cut.add(S_ONE, S_ONE), S_ONE)
 
 
 def add(x: Real, y: Real) -> Real:
@@ -123,7 +165,9 @@ def add(x: Real, y: Real) -> Real:
 
 
 def neg(x: Real) -> Real:
-    return Real(x.neg, x.pos)
+    if x.magnitude is None:
+        return Real(x.neg, x.pos)
+    return SignedReal(x.neg, x.pos, x.magnitude, not x.negative)
 
 
 def sub(x: Real, y: Real) -> Real:
@@ -131,6 +175,18 @@ def sub(x: Real, y: Real) -> Real:
 
 
 def mul(x: Real, y: Real) -> Real:
+    """The product, in one, two or four cut products.
+
+    Known signs multiply through the magnitudes: C*D when both factors
+    know theirs, (C*c, C*d) or its mirror when one of them does.
+    """
+    if x.magnitude is not None and y.magnitude is not None:
+        return signed(cut.mul(x.magnitude, y.magnitude), x.negative != y.negative)
+    if y.magnitude is not None:
+        x, y = y, x  # the factor of known sign goes first
+    if x.magnitude is not None:
+        pos, neg = cut.mul(x.magnitude, y.pos), cut.mul(x.magnitude, y.neg)
+        return Real(neg, pos) if x.negative else Real(pos, neg)
     return Real(cut.add(cut.mul(x.pos, y.pos), cut.mul(x.neg, y.neg)),
                 cut.add(cut.mul(x.pos, y.neg), cut.mul(x.neg, y.pos)))
 
@@ -177,16 +233,15 @@ def inv(x: Real, n: int, budget: int | None = None) -> Real:
     """Multiplicative inverse, guarded by a nonzero certificate at 1/n.
 
     The canonical form [(S_1 + C, S_1)] of a certified positive inverts
-    to [(S_1 + C^, S_1)] with C^ the reciprocal cut of the magnitude;
-    the negative case mirrors the components.
+    to [(C^ + S_1, S_1)] with C^ the reciprocal cut of the magnitude;
+    the negative case mirrors the components.  The result knows its
+    sign, and C^ is its magnitude.
     """
     form = canonicalize(x, n, budget)
     if isinstance(form, PositiveForm):
-        s1 = cut.s_r(ONE)
-        return Real(cut.add(s1, cut.inverse(form.magnitude)), s1)
+        return signed(cut.inverse(form.magnitude))
     if isinstance(form, NegativeForm):
-        s1 = cut.s_r(ONE)
-        return Real(s1, cut.add(s1, cut.inverse(form.magnitude)))
+        return signed(cut.inverse(form.magnitude), negative=True)
     if isinstance(form, ZeroForm):
         raise ZeroAtPrecision(n, "the value is exactly zero and has no inverse")
     raise ZeroAtPrecision(n)

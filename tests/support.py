@@ -16,7 +16,16 @@ from fractions import Fraction
 
 from segreals import Bracket, Cut, PosRational, cli_main, oracle_cut, root_cut, s_r
 from segreals.approx import SignedInterval
-from segreals.cut import OracleCut, RationalCut, RootCut, membership_leaf
+from segreals.cut import (
+    Difference,
+    Inverse,
+    OracleCut,
+    Product,
+    RationalCut,
+    RootCut,
+    Sum,
+    membership_leaf,
+)
 from segreals.qpos import archimedean_bound
 
 
@@ -122,6 +131,43 @@ def surd_sign(x: Fraction, y: Fraction, p: int) -> int:
     # opposite signs: the term of larger magnitude wins, and the squares
     # cannot tie because sqrt(p) is irrational
     return sx if x * x > y * y * p else sy
+
+
+def surd_values(roots: list, p: int) -> dict:
+    """The exact value of every cut node reachable from `roots`, as a pair
+    (a, b) standing for a + b*sqrt(p), recomputed from the node structure.
+    Keyed by id, in the order the nodes were first reached."""
+    values: dict = {}
+
+    def value(c):
+        if id(c) in values:
+            return values[id(c)][1]
+        if isinstance(c, RationalCut):
+            v = fr(c.bound), Fraction(0)
+        elif isinstance(c, RootCut):
+            assert (c.degree, c.radicand) == (2, q(p))
+            v = Fraction(0), Fraction(1)
+        elif isinstance(c, Sum):
+            (a, b), (x, y) = value(c.left), value(c.right)
+            v = a + x, b + y
+        elif isinstance(c, Product):
+            (a, b), (x, y) = value(c.left), value(c.right)
+            v = a * x + b * y * p, a * y + b * x
+        elif isinstance(c, Inverse):
+            a, b = value(c.operand)
+            norm = a * a - b * b * p
+            v = a / norm, -b / norm
+        elif isinstance(c, Difference):
+            (a, b), (x, y) = value(c.lower), value(c.upper)
+            v = x - a, y - b
+        else:
+            raise TypeError(type(c).__name__)
+        values[id(c)] = c, v
+        return v
+
+    for c in roots:
+        value(c)
+    return values
 
 
 def oracle_half_up(value: Fraction, digits: int) -> int:

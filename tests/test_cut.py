@@ -40,12 +40,8 @@ from segreals import (
     to_sexpr,
 )
 from segreals.cut import (
-    Difference,
     Inverse,
     Product,
-    RationalCut,
-    RootCut,
-    Sum,
     _bisect,
     _grid_above,
     _grid_below,
@@ -65,6 +61,7 @@ from support import (
     q,
     straddles,
     surd_sign,
+    surd_values,
 )
 
 small_rationals = st.builds(PosRational, st.integers(1, 40), st.integers(1, 40))
@@ -556,43 +553,6 @@ def counted(monkeypatch):
     monkeypatch.setattr(cut_module, "bracket", counting_bracket)
     monkeypatch.setattr(cut_module, "membership_leaf", counting_member)
     return cut_module, brackets, tests
-
-
-def surd_values(roots: list, p: int) -> dict:
-    """The exact value of every cut node reachable from `roots`, as a pair
-    (a, b) standing for a + b*sqrt(p), recomputed from the node structure.
-    Keyed by id, in the order the nodes were first reached."""
-    values: dict = {}
-
-    def value(c):
-        if id(c) in values:
-            return values[id(c)][1]
-        if isinstance(c, RationalCut):
-            v = fr(c.bound), Fraction(0)
-        elif isinstance(c, RootCut):
-            assert (c.degree, c.radicand) == (2, q(p))
-            v = Fraction(0), Fraction(1)
-        elif isinstance(c, Sum):
-            (a, b), (x, y) = value(c.left), value(c.right)
-            v = a + x, b + y
-        elif isinstance(c, Product):
-            (a, b), (x, y) = value(c.left), value(c.right)
-            v = a * x + b * y * p, a * y + b * x
-        elif isinstance(c, Inverse):
-            a, b = value(c.operand)
-            norm = a * a - b * b * p
-            v = a / norm, -b / norm
-        elif isinstance(c, Difference):
-            (a, b), (x, y) = value(c.lower), value(c.upper)
-            v = x - a, y - b
-        else:
-            raise TypeError(type(c).__name__)
-        values[id(c)] = c, v
-        return v
-
-    for c in roots:
-        value(c)
-    return values
 
 
 signed_small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))

@@ -47,6 +47,49 @@ def lit(num, den=1):
     return Literal(Fraction(num, den))
 
 
+def _tokenize_by_characters(text):
+    """The tokenizer as a loop over characters: (kind, text, offset) triples."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalpha():
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/(),":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+# texts over the grammar's own characters and their Unicode look-alikes:
+# decimal digits of other scripts, numerals that are not decimal ("²",
+# "½", "Ⅻ"), letters, marks, underscores, separators and controls
+_token_texts = st.text(st.one_of(
+    st.sampled_from("0123456789+-*/(),. _sqrtroot\t\n\u00a0\u3000\u2028"
+                    "\u0663\u00b2\u00bd\u216b\u4e00\u00e9\u0301\u00aa"),
+    st.characters(categories=("Nd", "Nl", "No", "Lu", "Ll", "Lm", "Lo", "Mn",
+                              "Pc", "Zs", "Zl", "Zp", "Cc")),
+), max_size=30)
+
+
 class TestParse:
     def test_rational_literals(self):
         assert parse("2") == lit(2)
@@ -141,6 +184,20 @@ class TestParse:
             parse(nested(MAX_NESTING + 1))
         # the offset is that of the first sign or parenthesis past the limit
         assert exc.value.offset == MAX_NESTING
+
+    @given(_token_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_tokenizer_matches_the_character_loop(self, text):
+        # the pattern must split and reject exactly as a loop over
+        # str.isspace, str.isdecimal and str.isalpha did
+        try:
+            expected = _tokenize_by_characters(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                exprcli._tokenize(text)
+            assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
+        else:
+            assert [(t.kind, t.text, t.offset) for t in exprcli._tokenize(text)] == expected
 
     @pytest.mark.parametrize("text, offset", [
         ("1 + " + "7" * 5000, 4),
@@ -395,6 +452,14 @@ class TestCli:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "recursion" not in err
+
+    @pytest.mark.parametrize("levels, value", [(83, "0.33333"), (MAX_NESTING, "3.00000")])
+    def test_nested_inverse_up_to_the_nesting_limit(self, levels, value):
+        # each level is one product of two reals of known sign, inverted,
+        # so the deepest nesting the parser takes stays within the
+        # recursion limit
+        text = "1/(" * levels + "3" + ")" * levels
+        assert run_cli(["eval", text, "--digits", "5"]) == (0, value + "\n", "")
 
     @pytest.mark.parametrize("op", ["+", "-"])
     def test_long_flat_chain_evaluates(self, op):

@@ -5,11 +5,12 @@ the four operators and unary minus are rendered with `unparse` and run
 through `cli_main` at two widths, half of them with `--` before the
 expression and half without, so a text starting with `-(` is read as
 an expression.  Flat `+`/`-` chains of 3 to 60 leaves, written without
-parentheses, and deep chains of 8 to 40 nested divisions, inverses or
-products go through the same checks.  Every run must end with exit
-0, 2 or 3 and at most one diagnostic line; exit-0 intervals must be as narrow as
-asked, agree with the library, intersect each other and contain the
-exact value (a Fraction for root-free trees, an enclosure built from the
+parentheses, and deep chains of 8 to 40 nested divisions, inverses,
+products, or products whose factors mix known and unknown signs go
+through the same checks.  Every run must end with exit 0, 2 or 3 and at
+most one diagnostic line; exit-0 intervals must be as narrow as asked,
+agree with the library, intersect each other and contain the exact
+value (a Fraction for root-free trees, an enclosure built from the
 integer root oracles otherwise).  A few leaves are invalid roots, which
 the parser and `evaluate` must reject with the same message.
 
@@ -95,24 +96,48 @@ def _chain(rng: random.Random):
     return tree, text
 
 
+def _nonzero_leaf(rng: random.Random):
+    """A leaf other than the zero literal, about one in a thousand an
+    invalid root."""
+    while True:
+        e = _leaf(rng, valid_below=0.999)
+        if e != Literal(Fraction(0)):
+            return e
+
+
 def _deep(rng: random.Random, kind: str):
     """A right-nested chain of 8 to 40 levels, all of one kind: divisions
     a / (b / (...)), inverses 1 / (1 / (...)) or products a * (b * (...)),
     a level negated now and then.  Zero literals are left out, since one
     anywhere in a chain zeroes it or one of its divisors, and about one
     leaf in a thousand is an invalid root."""
-    def leaf():
-        while True:
-            e = _leaf(rng, valid_below=0.999)
-            if e != Literal(Fraction(0)):
-                return e
-
-    tree = leaf()
+    tree = _nonzero_leaf(rng)
     for _ in range(rng.randint(8, 40)):
-        left = Literal(Fraction(1)) if kind == "inv" else leaf()
+        left = Literal(Fraction(1)) if kind == "inv" else _nonzero_leaf(rng)
         tree = (Mul if kind == "mul" else Div)(left, tree)
         if rng.random() < 0.1:
             tree = Neg(tree)
+    return tree
+
+
+def _mixed(rng: random.Random):
+    """A right-nested product chain of 8 to 40 levels whose factors are a
+    positive literal or a root, whose signs are known, a negated leaf,
+    whose sign is known and flipped, or a difference (a - b) of two
+    leaves, whose sign is not known."""
+    def factor():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Literal(_positive(rng))
+        if kind == 1:
+            return Root(rng.choice((2, 2, 3, 4, 5)), Literal(_positive(rng)))
+        if kind == 2:
+            return Neg(_nonzero_leaf(rng))
+        return Sub(_nonzero_leaf(rng), _nonzero_leaf(rng))
+
+    tree = factor()
+    for _ in range(rng.randint(8, 40)):
+        tree = Mul(factor(), tree)
     return tree
 
 
@@ -296,8 +321,8 @@ def test_deep_chains(seed):
     rng = random.Random(seed)
 
     def cases():
-        for kind in ("div", "inv", "mul"):
-            tree = _deep(rng, kind)
+        for kind in ("div", "inv", "mul", "mixed"):
+            tree = _mixed(rng) if kind == "mixed" else _deep(rng, kind)
             text = _sqrt_half(rng, unparse(tree))
             yield tree, text, rng.choice(WIDTHS), rng.random() < 0.5
 

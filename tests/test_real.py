@@ -18,8 +18,10 @@ from segreals import (
     Real,
     ZeroAtPrecision,
     ZeroForm,
+    approx,
     bracket,
     canonicalize,
+    exprcli,
     f_embed,
     from_pair,
     g_embed,
@@ -32,9 +34,10 @@ from segreals import (
     unity,
     zero,
 )
+from segreals.cut import Product
 from segreals.real import add, mul, neg, sub
 
-from support import fr, interval_contains, q, straddles
+from support import fr, interval_contains, q, straddles, surd_sign, surd_values
 
 small_rationals = st.builds(PosRational, st.integers(1, 30), st.integers(1, 30))
 signed = st.one_of(
@@ -249,3 +252,109 @@ class TestGroupLaws:
         expected = a * (b + c)
         assert interval_contains(value_interval(x * (y + z)), expected)
         assert interval_contains(value_interval(x * y + x * z), expected)
+
+
+# Factor sources for products, with their exact values a + b*sqrt(p):
+# literals and roots know their sign, and so do inverses, which certify
+# it; sums and differences do not.  Each may be negated.
+FACTOR_KINDS = ("lit", "root", "inv", "sum", "diff")
+
+
+def _factor(kind: str, c: Fraction, negate: bool, p: int):
+    root = f_embed(root_cut(2, q(p)))
+    x, v = {
+        "lit": lambda: (g_embed(c), (c, Fraction(0))),
+        "root": lambda: (root, (Fraction(0), Fraction(1))),
+        "sum": lambda: (add(g_embed(c), root), (c, Fraction(1))),
+        "diff": lambda: (sub(root, g_embed(c)), (-c, Fraction(1))),
+        # 1/(sqrt(p) - c) = (-c - sqrt(p)) / (c^2 - p)
+        "inv": lambda: (inv(sub(root, g_embed(c)), 10 ** 6),
+                        (-c / (c * c - p), -1 / (c * c - p))),
+    }[kind]()
+    if negate:
+        return neg(x), (-v[0], -v[1])
+    return x, v
+
+
+def _value(x: Real, p: int):
+    """The exact value of a real, from its components' node structure."""
+    values = surd_values([x.pos, x.neg], p)
+    (a, b), (c, d) = values[id(x.pos)][1], values[id(x.neg)][1]
+    return a - c, b - d
+
+
+def _products(x: Real) -> int:
+    seen, stack, count = set(), [x.pos, x.neg], 0
+    while stack:
+        c = stack.pop()
+        if id(c) not in seen:
+            seen.add(id(c))
+            count += isinstance(c, Product)
+            stack += [getattr(c, k) for k in ("left", "right", "operand", "lower", "upper")
+                      if hasattr(c, k)]
+    return count
+
+
+class TestSignAwareMul:
+    """A factor of known sign multiplies through its magnitude."""
+
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(st.tuples(st.sampled_from(FACTOR_KINDS),
+                              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                              st.booleans()),
+                    min_size=2, max_size=4),
+           st.sampled_from([10, 1000, 10 ** 6]))
+    @settings(max_examples=150, deadline=None)
+    def test_products_of_every_source_are_exact(self, p, factors, n):
+        x, (a, b) = _factor(*factors[0], p)
+        for kind, c, negate in factors[1:]:
+            y, (u, v) = _factor(kind, c, negate, p)
+            known = (x.magnitude is not None) + (y.magnitude is not None)
+            z = mul(x, y)
+            # both signs known: one product; one: two; none: four
+            assert _products(z) - _products(x) - _products(y) == (1, 2, 4)[2 - known]
+            x, (a, b) = z, (a * u + b * v * p, a * v + b * u)
+            assert _value(x, p) == (a, b)
+            if x.magnitude is not None:
+                m = surd_values([x.magnitude], p)[id(x.magnitude)][1]
+                assert m == ((-a, -b) if x.negative else (a, b))
+                assert surd_sign(*m, p) > 0
+        iv = rational_interval(x, n)
+        assert iv.width <= Fraction(1, n)
+        assert surd_sign(a - iv.lo, b, p) >= 0 and surd_sign(iv.hi - a, -b, p) >= 0
+
+    def test_known_signs_build_one_product(self):
+        a, b = root_cut(2, q(2)), root_cut(2, q(3))
+        z = mul(f_embed(a), f_embed(b))
+        assert _products(z) == 1
+        assert z.magnitude.left is a and z.magnitude.right is b
+        assert not z.negative and mul(neg(f_embed(a)), f_embed(b)).negative
+
+    def test_one_known_sign_builds_two_products(self):
+        x = sub(f_embed(root_cut(2, q(2))), g_embed(Fraction(1)))  # no sign known
+        assert x.magnitude is None
+        for z in (mul(g_embed(2), x), mul(x, g_embed(-2))):
+            assert _products(z) == 2 and z.magnitude is None
+        assert _products(mul(x, x)) == 4
+
+    def test_components_grow_with_the_value(self):
+        # (2*(2*(...1...))) at L = 15 is 2^15; expanding every product
+        # made its components 1.6*10^9
+        levels = 15
+        x = exprcli.evaluate(exprcli.parse("(2*" * levels + "1" + ")" * levels), 10)
+        assert fr(bracket(x.pos, 1).hi) <= 2 ** levels + 2
+
+    def test_nested_product_bracket_calls(self, monkeypatch):
+        # expanding every product made 9 302 bracket calls at L = 30
+        import segreals.cut as cut_module
+        calls, plain = [0], cut_module.bracket
+
+        def counting(a, n, budget=None):
+            calls[0] += 1
+            return plain(a, n, budget)
+
+        monkeypatch.setattr(cut_module, "bracket", counting)
+        levels = 30
+        x = exprcli.evaluate(exprcli.parse("(2*" * levels + "1" + ")" * levels), 10 ** 7)
+        assert approx.decimal(x, 5) == f"{2 ** levels}.00000"
+        assert calls[0] <= 2500
