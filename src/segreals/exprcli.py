@@ -33,6 +33,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -51,8 +52,9 @@ ENV_BUDGET = "REALS_BUDGET"
 DEFAULT_DIGITS = 10
 DEFAULT_COMPARE_PRECISION = 10 ** 6
 # Deepest nesting of parentheses and unary minus signs the parser accepts.
-# The parser and evaluator recurse once or more per level, so this keeps
-# both far inside the interpreter's recursion limit.
+# The parser, and `cut.bracket` through nested products and inverses,
+# recurse once or more per level, so this keeps both far inside the
+# interpreter's recursion limit.
 MAX_NESTING = 100
 MAX_ROOT_DEGREE = cut.MAX_ROOT_DEGREE
 
@@ -435,6 +437,7 @@ def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
     return value
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reals",
@@ -470,6 +473,13 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
+    """Run one `reals` command and return its exit code instead of exiting.
+
+    Every call reads its inputs afresh: `argv`, reals.toml in the working
+    directory, $REALS_BUDGET, and `sys.stdout`/`sys.stderr` as they are
+    at the call.  The argument parser is built once per process and is
+    only read while parsing.
+    """
     try:
         args = _build_argparser().parse_args(argv)
     except SystemExit as exit_:  # argparse already printed the diagnostic

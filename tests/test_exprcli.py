@@ -1,5 +1,6 @@
 """Expression grammar, evaluation, and the command line contract."""
 
+import argparse
 import sys
 import time
 from fractions import Fraction
@@ -591,3 +592,81 @@ class TestCliConfig:
         monkeypatch.setenv("REALS_BUDGET", "1")
         code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2"])
         assert code == 3
+
+    def test_each_call_reads_its_inputs(self, tmp_path, monkeypatch):
+        # the parser is shared between calls, but reals.toml and the
+        # environment are read again by each one
+        config = tmp_path / "reals.toml"
+        config.write_text("digits = 3\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["eval", "1/3"]) == (0, "0.333\n", "")
+        config.write_text("digits = 5\n")
+        assert run_cli(["eval", "1/3"]) == (0, "0.33333\n", "")
+        monkeypatch.setenv("REALS_BUDGET", "1")
+        assert run_cli(["eval", "1/(1/3)"])[0] == 3
+        monkeypatch.delenv("REALS_BUDGET")
+        assert run_cli(["eval", "1/(1/3)"]) == (0, "3.00000\n", "")
+
+
+# argparse errors first, then help, leading minus signs and answers, so a
+# parser that kept state from a failed parse would show it
+_SHARED_PARSER_ARGVS = [
+    ["eval", "1", "--digits", "x"],
+    ["eval", "1", "--interval", "zero"],
+    ["eval", "1", "--digits", "3", "--interval", "1/10"],
+    ["eval", "2", "--frobnicate"],
+    [],
+    ["eval", "-h"],
+    ["compare", "-h"],
+    ["eval", "-sqrt(2)"],
+    ["eval", "--", "-sqrt(2)"],
+    ["eval", "-5/2", "--interval", "1/10"],
+    ["eval", "--interval", "1/10", "--", "-5/2"],
+    ["eval", "-(-(3))", "--digits", "2"],
+    ["eval", "--digits", "2", "--", "-(-(3))"],
+    ["compare", "-sqrt(2)", "1"],
+    ["compare", "--", "-sqrt(2)", "1"],
+    ["compare", "1", "-sqrt(2)"],
+    ["compare", "--", "1", "-sqrt(2)"],
+    ["eval", "sqrt(2)", "--digits", "8"],
+    ["eval", "2 + 3/4", "--interval", "1/100"],
+    ["eval", "1/(1/3)", "--budget", "1"],
+    ["compare", "sqrt(2)*sqrt(2)", "2", "--precision", "1/1000000"],
+    ["compare", "3/2", "sqrt(2)", "--precision", "1/100"],
+]
+
+
+class TestSharedArgparser:
+    def test_parser_is_built_once(self, monkeypatch):
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(50):
+            assert run_cli(["eval", "1/4", "--digits", "2"]) == (0, "0.25\n", "")
+        # the root parser and its two subparsers, when no earlier call built them
+        assert built <= 3
+
+    def test_reused_parser_answers_like_a_fresh_one(self, monkeypatch):
+        def answers():
+            monkeypatch.delenv("COLUMNS", raising=False)
+            seen = [run_cli(argv) for argv in _SHARED_PARSER_ARGVS]
+            for columns in ("40", "140"):
+                # argparse reads the width when it formats, not when it builds
+                monkeypatch.setenv("COLUMNS", columns)
+                seen.append(run_cli(["eval", "-h"]))
+            return seen
+
+        shared = answers()
+        monkeypatch.setattr(exprcli, "_build_argparser",
+                            exprcli._build_argparser.__wrapped__)
+        fresh = answers()
+        assert shared == fresh
+        assert shared[-2] != shared[-1]
+        assert [code for code, _, _ in shared[:5]] == [2] * 5
+        assert shared[5][1].startswith("usage: reals eval")
