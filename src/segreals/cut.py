@@ -36,6 +36,20 @@ closed form climbs, without a membership test.  Leaf membership inside
 this module goes through ``membership_leaf``, so wrapping those two
 module attributes sees every bracket and every membership test.
 
+Every node also carries a ``ceiling``: an integer at or above its
+value, so a non-member, fixed when the node is built from its operands'
+ceilings, with no bracket and no recursion.  A rational leaf takes its
+bound rounded up, a root leaf a power of two from the bit length of its
+radicand, an oracle leaf its outside witness rounded up; a sum adds its
+operands' ceilings, a product multiplies them, a finite sup takes their
+largest and a difference its upper operand's.  An inverse has none
+(None), since its operand, a difference, has no lower bound before its
+operands separate, and None propagates upward.  A product whose
+operands both have one asks each at 4n times the other's, which is
+what that operand's error costs in the product; so a chain of L
+products costs about 2L brackets, where bracketing each operand at
+n = 1 first for its magnitude walked the chain below at every level.
+
 A bracket's endpoints need not be the exact rationals the arithmetic
 produced.  ``Product`` and ``Inverse`` round theirs outward onto the
 dyadic grid 1/2^k with 2^k >= 4n: ``lo`` down, ``hi`` up.  A cut is
@@ -135,7 +149,11 @@ class Cut:
     Nodes are immutable once built, apart from one cache: `_best`, the
     tightest bracket `bracket` has seen for the node and the precision
     it was asked at, replaced by narrower brackets only and never filled
-    on kinds whose `_keeps_best` is false.  Each subclass
+    on kinds whose `_keeps_best` is false.  `ceiling` is fixed when the
+    node is built: an integer at or above its value, so a non-member,
+    derived from its operands' ceilings without a bracket, or None when
+    the kind has no such bound (an inverse, and every node above one).
+    Each subclass
     supplies `_fresh(n, budget)`, its bracket at precision n computed
     without the cache, and a `__repr__` giving its s-expression.  Which
     bracket a request gets depends on what was asked before; every one
@@ -146,11 +164,12 @@ class Cut:
     deliberately not spelled __eq__.
     """
 
-    __slots__ = ("_best",)
+    __slots__ = ("_best", "ceiling")
     _keeps_best = True
 
-    def __init__(self) -> None:
+    def __init__(self, ceiling: int | None) -> None:
         self._best: tuple[int, Bracket | None] = (0, None)
+        self.ceiling = ceiling
 
     def __add__(self, other: Cut) -> Cut:
         return add(self, other)
@@ -192,7 +211,7 @@ class RationalCut(Leaf):
     __slots__ = ("bound", "_witnesses")
 
     def __init__(self, bound: PosRational) -> None:
-        super().__init__()
+        super().__init__(ceil_int(bound))
         self.bound = bound
         # mediant of the bound with the origin corner: always a member
         self._witnesses = PosRational(bound.num, bound.den + 1), bound
@@ -217,7 +236,9 @@ class RootCut(Leaf):
     __slots__ = ("degree", "radicand")
 
     def __init__(self, degree: int, radicand: PosRational) -> None:
-        super().__init__()
+        # r <= ceil(r) < 2^b, so r^(1/k) < 2^ceil(b/k): O(1), where an
+        # integer k-th root would cost every leaf built
+        super().__init__(1 << -(-ceil_int(radicand).bit_length() // degree))
         self.degree = degree
         self.radicand = radicand
 
@@ -261,7 +282,7 @@ class OracleCut(Leaf):
 
     def __init__(self, member: Callable[[PosRational], bool],
                  witness_in: PosRational, witness_out: PosRational) -> None:
-        super().__init__()
+        super().__init__(ceil_int(witness_out))
         self.member = member
         self.witness_in = witness_in
         self.witness_out = witness_out
@@ -301,7 +322,8 @@ class Sum(Cut):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Cut, right: Cut) -> None:
-        super().__init__()
+        a, b = left.ceiling, right.ceiling
+        super().__init__(None if a is None or b is None else a + b)
         self.left = left
         self.right = right
 
@@ -330,29 +352,44 @@ class Sum(Cut):
 class Product(Cut):
     """Pairwise products of members of the two operands.
 
-    Each operand is asked at ceil(2n * M), with M the sum of their coarse
-    upper ends, so the exact product of the endpoints is at most 1/(2n)
-    wide.  It is then rounded outward onto the grid 1/2^k, 2^k >= 4n,
-    at most 1/(2n) more.  A lower end with no positive grid point below
-    it is kept unrounded, since a bracket's lower end is never 0.
+    The exact product of brackets (x, X] and (y, Y] is X*Y - x*y =
+    X*(Y - y) + y*(X - x) wide, so each operand's error costs the other
+    operand's size.  When both operands have a ceiling, A and B, each is
+    asked at 4n times the other's, and X is clamped to A: the exact
+    product is then at most A/(4nA) + B/(4nB) = 1/(2n) wide, with no
+    bracket spent on magnitudes.  Otherwise both are bracketed at n = 1
+    first and then asked at ceil(2n * M), M the sum of those coarse
+    upper ends, for the same 1/(2n).  Either way it is then rounded
+    outward onto the grid 1/2^k, 2^k >= 4n, at most 1/(2n) more.  A
+    lower end with no positive grid point below it is kept unrounded,
+    since a bracket's lower end is never 0.
     """
 
     __slots__ = ("left", "right")
 
     def __init__(self, left: Cut, right: Cut) -> None:
-        super().__init__()
+        a, b = left.ceiling, right.ceiling
+        super().__init__(None if a is None or b is None else a * b)
         self.left = left
         self.right = right
 
     def _fresh(self, n: int, budget: int) -> Bracket:
-        # magnitude first: hi_left + hi_right bounds the derivative of x*y on
-        # the enclosure, so operands at ceil(2n * M) leave the exact product
-        # at most 1/(2n) wide, and the two grid steps take the other half
-        ca = bracket(self.left, 1, budget)
-        cb = bracket(self.right, 1, budget)
-        m = ceil_int(PosRational(2 * n) * (ca.hi + cb.hi))
-        fa = _clamp(bracket(self.left, m, budget), ca)
-        fb = _clamp(bracket(self.right, m, budget), cb)
+        a, b = self.left.ceiling, self.right.ceiling
+        if a is None or b is None:
+            # magnitude first: hi_left + hi_right bounds the derivative of
+            # x*y on the enclosure, so operands at ceil(2n * M) leave the
+            # exact product at most 1/(2n) wide
+            ca = bracket(self.left, 1, budget)
+            cb = bracket(self.right, 1, budget)
+            m = ceil_int(PosRational(2 * n) * (ca.hi + cb.hi))
+            fa = _clamp(bracket(self.left, m, budget), ca)
+            fb = _clamp(bracket(self.right, m, budget), cb)
+        else:
+            fa = bracket(self.left, 4 * n * b, budget)
+            fb = bracket(self.right, 4 * n * a, budget)
+            if a * fa.hi.den < fa.hi.num:
+                # A is a non-member, so (x, A] is still a bracket
+                fa = Bracket(fa.lo, PosRational(a))
         k = _grid_bits(n)
         lo = fa.lo * fb.lo
         # a member too small for the grid stays as it is
@@ -376,7 +413,9 @@ class Inverse(Cut):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Cut) -> None:
-        super().__init__()
+        # the operand is a difference, which has no lower bound before
+        # its operands separate, so the reciprocal has no ceiling
+        super().__init__(None)
         self.operand = operand
 
     def _fresh(self, n: int, budget: int) -> Bracket:
@@ -414,7 +453,7 @@ class Difference(Cut):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: Cut, upper: Cut) -> None:
-        super().__init__()
+        super().__init__(upper.ceiling)
         self.lower = lower
         self.upper = upper
 
@@ -447,7 +486,8 @@ class SupFinite(Cut):
     __slots__ = ("members",)
 
     def __init__(self, members: tuple[Cut, ...]) -> None:
-        super().__init__()
+        ceilings = [m.ceiling for m in members]
+        super().__init__(None if None in ceilings else max(ceilings))
         self.members = members
 
     def _fresh(self, n: int, budget: int) -> Bracket:

@@ -421,7 +421,8 @@ def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
     """--key, else $env (when given), else `key` in reals.toml, else default.
 
     A value below 1 leaves no precision to work at, so it is rejected
-    here, naming where it came from, before anything is computed from it.
+    here, naming where it came from, before anything is computed from it;
+    so is an environment value that is not an integer.
     """
     value, source = flag, f"--{key}"
     env_value = os.environ.get(env) if env is not None else None
@@ -429,7 +430,7 @@ def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
         try:
             value, source = int(env_value), env
         except ValueError:
-            pass
+            raise ValueError(f"{env} must be an integer, got {env_value!r}") from None
     if value is None:
         value, source = config.get(key, default), f"{key} in {CONFIG_FILE}"
     if value is not None and value < 1:

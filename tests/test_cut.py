@@ -69,6 +69,12 @@ rational_leaves = small_rationals.map(s_r)
 root_leaves = st.builds(root_cut, st.integers(2, 4), small_rationals)
 leaves = st.one_of(rational_leaves, root_leaves)
 precisions = st.sampled_from([1, 2, 7, 10, 100, 1000, 10 ** 4])
+tiny_rationals = st.builds(PosRational, st.integers(1, 10 ** 6), st.integers(1, 10 ** 12))
+# up to 10^30, and just below and at powers of two, where root ceilings are tight
+radicands = st.builds(PosRational,
+                      st.integers(1, 10 ** 30) | st.integers(1, 100).map(lambda b: 2 ** b - 1)
+                      | st.integers(0, 99).map(lambda b: 2 ** b),
+                      st.integers(1, 10 ** 3))
 
 
 # ===========================================================================
@@ -618,6 +624,9 @@ class TestMemoisation:
             else:
                 pool.append(getattr(real, op)(x, y))
         nodes = list(surd_values([c for x in pool for c in (x.pos, x.neg)], p).values())
+        for c, (a, b) in nodes:
+            if c.ceiling is not None:  # an inverse, and every node above one, has none
+                assert surd_sign(c.ceiling - a, -b, p) >= 0  # value <= ceiling
         for k, n in requests:
             c, (a, b) = nodes[k % len(nodes)]
             br = bracket(c, n)
@@ -886,9 +895,9 @@ class TestOutwardRounding:
     def test_nested_endpoints_track_the_precision(self, counted, monkeypatch, text):
         # without rounding, endpoint bits multiply with every level: a
         # nested inverse passes 30 000 bits by L = 8.  With it they follow
-        # the precisions asked, which for the nested product grow about
-        # quadratically in L (each level asks its operands at 2n times
-        # their growing magnitude), about 970 bits at L = 30
+        # the precisions asked: about 185 bits for the nested inverse at
+        # L = 30, and about 120 for the nested product, whose levels ask
+        # each operand at 4n times the other's ceiling
         cut_module, _, _ = counted
         levels, n = 30, 10 ** 7
         limit = 20 * (levels + n.bit_length())
@@ -903,6 +912,113 @@ class TestOutwardRounding:
         monkeypatch.setattr(cut_module, "bracket", bounded)
         x = exprcli.evaluate(exprcli.parse(text), n)
         assert approx.decimal(x, 5) == ("3.00000" if text[0] == "1" else f"{2 ** 30}.00000")
+
+
+class TestCeilings:
+    """Every node carries a certified integer ceiling, fixed when it is
+    built from its operands' ceilings; a product of two nodes that have
+    one asks each operand at 4n times the other's ceiling, and spends no
+    bracket on magnitudes."""
+
+    def test_pinned_ceilings(self):
+        assert (s_r(q(7, 2)).ceiling, s_r(q(3)).ceiling, s_r(q(1, 10 ** 30)).ceiling) == (4, 3, 1)
+        # r < 2^b gives r^(1/k) < 2^ceil(b/k), tight just below a power of two
+        assert root_cut(2, q(15)).ceiling == 4 and root_cut(2, q(16)).ceiling == 8
+        assert root_cut(3, q(2 ** 30 - 1)).ceiling == 2 ** 10
+        assert oracle_cut(lambda x: x < q(3, 2), q(1), q(5, 2)).ceiling == 3
+        a, b = s_r(q(5, 2)), root_cut(2, q(2))
+        assert (add(a, b).ceiling, mul(a, b).ceiling, difference(b, a).ceiling) == (5, 6, 3)
+        assert sup_finite([a, b, s_r(q(1))]).ceiling == 3
+        # an inverse has none, and every node above one inherits that
+        for c in (inverse(a), mul(a, inverse(b)), add(inverse(b), a),
+                  sup_finite([a, inverse(b)]), difference(a, inverse(s_r(q(1, 9))))):
+            assert c.ceiling is None
+
+    @given(st.integers(2, 5),
+           st.lists(st.tuples(st.sampled_from(["rational", "oracle"]),
+                              tiny_rationals | small_rationals)
+                    | st.tuples(st.just("root"), radicands), min_size=1, max_size=4),
+           st.lists(st.tuples(st.sampled_from(["mul", "mul", "sup"]),
+                              st.integers(0, 99), st.integers(0, 99)),
+                    min_size=1, max_size=6),
+           st.sampled_from([1, 3, 10, 97, 1000, 10 ** 6, 10 ** 12]))
+    @settings(max_examples=80, deadline=None)
+    def test_products_over_roots_stay_certified(self, k, leaves, ops, n):
+        # each node's value v is tracked exactly through v^k, a rational:
+        # k-th roots multiply and compare through their k-th powers
+        pool = []
+        for kind, r in leaves:
+            if kind == "root":
+                pool.append((root_cut(k, r), fr(r)))
+            elif kind == "rational":
+                pool.append((s_r(r), fr(r) ** k))
+            else:
+                pool.append((oracle_cut(lambda x, b=r: x < b, q(r.num, r.den + 1), r),
+                             fr(r) ** k))
+        for op, i, j in ops:
+            (x, vx), (y, vy) = pool[i % len(pool)], pool[j % len(pool)]
+            pool.append((mul(x, y), vx * vy) if op == "mul"
+                        else (sup_finite([x, y]), max(vx, vy)))
+        for c, power in pool[::-1]:
+            assert Fraction(c.ceiling) ** k >= power  # the ceiling is a non-member
+            br = bracket(c, n)
+            assert fr(br.width) <= Fraction(1, n)
+            assert fr(br.lo) ** k < power <= fr(br.hi) ** k
+
+    def test_exact_product_takes_half_the_width(self, monkeypatch):
+        # a root just below a power of two, its ceiling, may be bracketed
+        # with an upper end above it; clamped to the ceiling, the exact
+        # product of the operands' ends is at most 1/(2n) wide, and the two
+        # grid steps take the other half
+        import segreals.cut as cut_module
+        ends = []
+        plain_below, plain_above = cut_module._grid_below, cut_module._grid_above
+        monkeypatch.setattr(cut_module, "_grid_below",
+                            lambda x, k: ends.append(x) or plain_below(x, k))
+        monkeypatch.setattr(cut_module, "_grid_above",
+                            lambda x, k: ends.append(x) or plain_above(x, k))
+        roots = [root_cut(k, q(2 ** (b * k) - d)) for k in (2, 4, 5) for b in (1, 2, 3)
+                 for d in (1, 2)]
+        for a in roots:
+            for b in roots:
+                for n in (1, 2, 3):
+                    ends.clear()
+                    br = bracket(mul(a, b), n)
+                    lo, hi = ends
+                    assert fr(hi) - fr(lo) <= Fraction(1, 2 * n)
+                    assert fr(br.width) <= Fraction(1, n)
+
+    @staticmethod
+    def evaluated(brackets, text):
+        brackets.clear()
+        out = approx.decimal(exprcli.evaluate(exprcli.parse(text), 10 ** 7), 5)
+        return out, sum(brackets.values())
+
+    def test_root_chain_is_linear(self, asked):
+        # each factor is asked at 4n times the other's ceiling, with no
+        # bracket at n = 1 that walks the chain below: about 2L calls, and
+        # requests that grow with the bits of the value, not quadratically
+        _, brackets, requests = asked
+        out, calls = self.evaluated(brackets, "*".join(["sqrt(2)"] * 100))
+        assert out == f"{2 ** 50}.00000"
+        assert calls <= 400
+        assert max(n for _, n in requests) <= 2 ** 400
+
+    def test_nested_product_is_linear(self, counted):
+        _, brackets, _ = counted
+        out, calls = self.evaluated(brackets, "(2*" * 100 + "1" + ")" * 100)
+        assert out == f"{2 ** 100}.00000"
+        assert calls <= 400
+
+    @pytest.mark.parametrize("levels, before", [(30, 4582), (60, 14812)])
+    def test_nested_inverses_cost_no_more(self, counted, levels, before):
+        # an inverse has no ceiling, so products above one keep the rule
+        # that brackets both operands at n = 1 first; a ceiling guessed
+        # from that coarse bracket made these chains dearer
+        _, brackets, _ = counted
+        out, calls = self.evaluated(brackets, "1/(" * levels + "3" + ")" * levels)
+        assert out == "3.00000"
+        assert calls <= before
 
 
 class TestTraceHooks:

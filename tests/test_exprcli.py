@@ -575,6 +575,16 @@ class TestCliConfig:
         code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2"])
         assert code == 2 and out == "" and "REALS_BUDGET" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_env_budget_not_an_integer(self, monkeypatch, value):
+        # reals.toml skips a malformed line, but a malformed variable is
+        # an error rather than a silent fall-through to the file
+        monkeypatch.setenv("REALS_BUDGET", value)
+        assert run_cli(["eval", "1/(1/3)", "--digits", "2"]) == \
+            (2, "", f"error: REALS_BUDGET must be an integer, got {value!r}\n")
+        # a --budget flag wins, and the variable is not read
+        assert run_cli(["eval", "1/(1/3)", "--digits", "2", "--budget", "1000"])[0] == 0
+
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("REALS_BUDGET", "1")
         code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2"])
