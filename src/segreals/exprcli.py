@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from . import approx, cut, real
 from .embed import f_embed, g_embed
@@ -52,9 +52,9 @@ ENV_BUDGET = "REALS_BUDGET"
 DEFAULT_DIGITS = 10
 DEFAULT_COMPARE_PRECISION = 10 ** 6
 # Deepest nesting of parentheses and unary minus signs the parser accepts.
-# The parser, and `cut.bracket` through nested products and inverses,
-# recurse once or more per level, so this keeps both far inside the
-# interpreter's recursion limit.
+# Parsing, evaluating and rendering keep explicit stacks, but `cut.bracket`
+# recurses once or more per level through nested products and inverses,
+# so this keeps it far inside the interpreter's recursion limit.
 MAX_NESTING = 100
 MAX_ROOT_DEGREE = cut.MAX_ROOT_DEGREE
 
@@ -88,12 +88,27 @@ class ZeroDivisorAtPrecision(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# syntax trees
+# syntax trees: each node kind lists its `operands` and has two steps, each
+# given its operands' results: `_evaluate`, to a Real, and `_render`, to text
+
+
+# How tightly each infix operator binds, for the parser and for `unparse`
+_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
+_TIGHT = 2  # a value or a negation
+_BAD_RADICAND = "root radicand must be a positive rational literal"
 
 
 @dataclass(frozen=True)
 class Literal:
     value: Fraction
+    operands, precedence = (), _TIGHT
+
+    def _evaluate(self, n: int, budget: int | None) -> Real:
+        return g_embed(self.value)
+
+    def _render(self) -> str:
+        num, den = int_str(self.value.numerator), self.value.denominator
+        return num if den == 1 else f"{num}/{int_str(den)}"
 
 
 @dataclass(frozen=True)
@@ -102,6 +117,18 @@ class Binary:
 
     left: Expr
     right: Expr
+    operands = property(lambda self: (self.left, self.right))
+    precedence = property(lambda self: _PRECEDENCE[self.symbol])
+
+    def _evaluate(self, n: int, budget: int | None, x: Real, y: Real) -> Real:
+        return self.combine(x, y)
+
+    def _render(self, x: str, y: str) -> str:
+        level = self.precedence
+        x = f"({x})" if self.left.precedence < level else x
+        # left associative: a right operand at this level is parenthesised too
+        y = f"({y})" if self.right.precedence <= level else y
+        return f"{x} {self.symbol} {y}"
 
 
 class Add(Binary):
@@ -119,23 +146,95 @@ class Mul(Binary):
 class Div(Binary):
     symbol, combine = "/", staticmethod(real.mul)
 
+    def _evaluate(self, n: int, budget: int | None, x: Real, y: Real) -> Real:
+        try:
+            y = real.inv(y, n, budget)
+        except ZeroAtPrecision as exc:
+            raise ZeroDivisorAtPrecision(n) from exc
+        return self.combine(x, y)
+
+    def _render(self, x: str, y: str) -> str:
+        # after "/" a bare literal would be absorbed into the literal before it
+        return super()._render(x, f"({y})" if isinstance(self.right, Literal) else y)
+
 
 @dataclass(frozen=True)
 class Neg:
     operand: Expr
+    operands = property(lambda self: (self.operand,))
+    precedence = _TIGHT
+
+    def _evaluate(self, n: int, budget: int | None, x: Real) -> Real:
+        return real.neg(x)
+
+    def _render(self, x: str) -> str:
+        # its operand is a value or a negation, kept a space apart from this
+        # sign: a text starting with "--" reads as an option on the command line
+        x = f"({x})" if self.operand.precedence < _TIGHT else x
+        return f"- {x}" if x.startswith("-") else f"-{x}"
 
 
 @dataclass(frozen=True)
 class Root:
     degree: int
     radicand: Literal
+    operands, precedence = (), _TIGHT
+
+    def _evaluate(self, n: int, budget: int | None) -> Real:
+        try:
+            radicand = PosRational(*self.radicand.value.as_integer_ratio())
+            return f_embed(cut.root_cut(self.degree, radicand))
+        except NonPositiveError:
+            raise DomainError(_BAD_RADICAND) from None
+        except cut.BadDegreeError as exc:
+            raise DomainError(str(exc)) from None
+
+    def _render(self) -> str:
+        return f"root({self.degree}, {self.radicand._render()})"
 
 
 Expr = Literal | Binary | Neg | Root
-
 _BINARY = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
-# Operator symbols by precedence level, loosest first: expr, then term.
-_LEVELS = (("+", "-"), ("*", "/"))
+
+
+_OPERANDS_DONE = object()  # on `_walk`'s stack: the node under it has its operands done
+
+
+def _walk(e: Expr, verb: str, *args: Any) -> Any:
+    """Each node's step `_<verb>(*args, *its operands' results)`, run in the order
+    of a recursive post-order walk, operands left to right (so the first error is
+    the same), but from an explicit stack; returns the root's result."""
+    step = "_" + verb  # made once: a string built per node is hashed per lookup
+    todo: list = [e]  # nodes to visit; a visited node waits under the marker
+    done: list = []  # results waiting for their node's step
+    while todo:
+        e = todo.pop()
+        if e is _OPERANDS_DONE:
+            e = todo.pop()
+            first = len(done) - len(e.operands)
+            done[first:] = [getattr(e, step)(*args, *done[first:])]
+        elif not isinstance(e, Expr):
+            raise TypeError(f"cannot {verb} {type(e).__name__}")
+        elif operands := e.operands:
+            todo += (e, _OPERANDS_DONE, *reversed(operands))
+        else:
+            done.append(getattr(e, step)(*args))
+    return done.pop()
+
+
+def evaluate(e: Expr, n: int, budget: int | None = None) -> Real:
+    """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n."""
+    return _walk(e, "evaluate", n, budget)
+
+
+def unparse(e: Expr) -> str:
+    """Source that `parse` reads back to the same tree, for every tree it returns.
+
+    Parentheses go only around an operand that binds more loosely than its
+    operator, a right operand at its operator's level, and a literal after "/"
+    (which would join the literal before it).  A hand-built negative Literal
+    reads back as a Neg."""
+    return _walk(e, "render")
 
 
 # ---------------------------------------------------------------------------
@@ -185,193 +284,87 @@ def _int(tok: _Token) -> int:
                          tok.offset) from None
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0  # open parentheses and unary minus signs around pos
+def _expect(tok: _Token, kind: str, what: str | None = None) -> _Token:
+    if tok.kind != kind:
+        raise ParseError(f"expected {what or repr(kind)}, "
+                         f"found {tok.text or 'end of input'!r}", tok.offset)
+    return tok
 
-    def nest(self, tok: _Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+def _literal(tokens: list[_Token], i: int) -> tuple[Literal, int]:
+    """The rational literal at tokens[i], and the index after it."""
+    num = _int(_expect(tokens[i], "int", "a value"))
+    # "/ nat" joins the literal unless nat is 0, which stays behind as a division
+    if tokens[i + 1].kind == "/" and tokens[i + 2].kind == "int" \
+            and (den := _int(tokens[i + 2])) > 0:
+        return Literal(Fraction(num, den)), i + 3
+    return Literal(Fraction(num)), i + 1
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.offset)
-        return self.take()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
-        return e
-
-    def expr(self, level: int = 0) -> Expr:
-        """A chain of `_LEVELS[level]` operators over the next level, read
-        in a loop (left-associated), so a long chain costs no recursion."""
-        if level == len(_LEVELS):
-            return self.factor()
-        e = self.expr(level + 1)
-        while self.peek().kind in _LEVELS[level]:
-            e = _BINARY[self.take().kind](e, self.expr(level + 1))
-        return e
-
-    def factor(self) -> Expr:
-        if self.peek().kind == "-":
-            self.nest(self.take())
-            e = Neg(self.factor())
-            self.depth -= 1
-            return e
-        return self.primary()
-
-    def primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            return Literal(self.rational())
-        if tok.kind == "name":
-            return self.root_form()
-        if tok.kind == "(":
-            self.nest(self.take())
-            e = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return e
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.offset)
-
-    def rational(self) -> Fraction:
-        num = _int(self.expect("int"))
-        den = 1
-        # absorb "/ nat" into the literal unless the denominator is the
-        # literal 0, which stays behind as a division
-        if self.peek().kind == "/" and self.peek(1).kind == "int" \
-                and _int(self.peek(1)) > 0:
-            self.take()
-            den = _int(self.take())
-        return Fraction(num, den)
-
-    def radicand(self) -> Literal:
-        tok = self.peek()
-        negative = False
-        if tok.kind == "-":
-            self.take()
-            negative = True
-        start = self.peek()
-        if start.kind != "int":
-            raise ParseError(
-                f"expected a rational literal, found {start.text or 'end of input'!r}",
-                start.offset)
-        num = _int(self.take())
-        den = 1
-        if self.peek().kind == "/":
-            self.take()
-            den = _int(self.expect("int"))
-        if negative or num == 0 or den == 0:
-            raise DomainError("root radicand must be a positive rational literal",
-                              tok.offset)
-        return Literal(Fraction(num, den))
-
-    def root_form(self) -> Expr:
-        name = self.take()
-        if name.text not in ("sqrt", "root"):
-            raise ParseError(f"unknown function {name.text!r}", name.offset)
-        self.expect("(")
-        degree, deg_tok = 2, name  # sqrt's degree always passes the rule
-        if name.text == "root":
-            deg_tok = self.expect("int")
-            degree = _int(deg_tok)
-            self.expect(",")
-        rad = self.radicand()
-        self.expect(")")
-        try:
-            cut.check_root_degree(degree)
-        except cut.BadDegreeError as exc:
-            raise DomainError(str(exc), deg_tok.offset) from None
-        return Root(degree, rad)
+def _root_form(tokens: list[_Token], i: int) -> tuple[Root, int]:
+    """The `sqrt(...)` or `root(...)` at tokens[i], and the index after it."""
+    name = tokens[i]
+    if name.text not in ("sqrt", "root"):
+        raise ParseError(f"unknown function {name.text!r}", name.offset)
+    _expect(tokens[i + 1], "(")
+    i += 2
+    degree, deg_tok = 2, name  # sqrt's degree always passes the rule
+    if name.text == "root":
+        degree = _int(deg_tok := _expect(tokens[i], "int"))
+        _expect(tokens[i + 1], ",")
+        i += 2
+    sign = tokens[i]  # the radicand's first token
+    i += sign.kind == "-"
+    num, den = _int(_expect(tokens[i], "int", "a rational literal")), 1
+    if tokens[i + 1].kind == "/":
+        den = _int(_expect(tokens[i + 2], "int"))
+        i += 2
+    if sign.kind == "-" or num == 0 or den == 0:
+        raise DomainError(_BAD_RADICAND, sign.offset)
+    _expect(tokens[i + 1], ")")
+    try:
+        cut.check_root_degree(degree)
+    except cut.BadDegreeError as exc:
+        raise DomainError(str(exc), deg_tok.offset) from None
+    return Root(degree, Literal(Fraction(num, den))), i + 2
 
 
 def parse(text: str) -> Expr:
     """Parse an expression; ParseError and DomainError carry byte offsets."""
-    return _Parser(text).parse()
-
-
-def unparse(e: Expr) -> str:
-    """Render a tree back to source that reparses to an identical tree.
-
-    Operands are always parenthesised: the literal-absorption rule would
-    otherwise fuse a rendered "1 / 2" back into the literal one-half.
-    """
-    if isinstance(e, Literal):
-        v = e.value
-        if v.denominator == 1:
-            return int_str(v.numerator)
-        return f"{int_str(v.numerator)}/{int_str(v.denominator)}"
-    if isinstance(e, Neg):
-        return f"-({unparse(e.operand)})"
-    if isinstance(e, Root):
-        return f"root({e.degree}, {unparse(e.radicand)})"
-    return f"({unparse(e.left)}) {e.symbol} ({unparse(e.right)})"
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def evaluate(e: Expr, n: int, budget: int | None = None) -> Real:
-    """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n.
-
-    Nodes are evaluated in post-order, operands left to right, as a
-    recursive walk would, so the first error met is the same; the walk
-    keeps an explicit stack, so a long flat chain costs no recursion.
-    """
-    todo: list[tuple[Expr, bool]] = [(e, False)]  # (node, operands evaluated)
-    values: list[Real] = []
-    while todo:
-        e, ready = todo.pop()
-        if isinstance(e, Binary):
-            if not ready:
-                todo += ((e, True), (e.right, False), (e.left, False))
-                continue
-            y = values.pop()
-            x = values.pop()
-            if isinstance(e, Div):
-                try:
-                    y = real.inv(y, n, budget)
-                except ZeroAtPrecision as exc:
-                    raise ZeroDivisorAtPrecision(n) from exc
-            values.append(e.combine(x, y))
-        elif isinstance(e, Neg):
-            if not ready:
-                todo += ((e, True), (e.operand, False))
-                continue
-            values.append(real.neg(values.pop()))
-        elif isinstance(e, Literal):
-            values.append(g_embed(e.value))
-        elif isinstance(e, Root):
-            try:
-                radicand = PosRational(*e.radicand.value.as_integer_ratio())
-                values.append(f_embed(cut.root_cut(e.degree, radicand)))
-            except NonPositiveError:
-                raise DomainError(
-                    "root radicand must be a positive rational literal") from None
-            except cut.BadDegreeError as exc:
-                raise DomainError(str(exc)) from None
-        else:
-            raise TypeError(f"cannot evaluate {type(e).__name__}")
-    return values.pop()
+    tokens, i = _tokenize(text), 0
+    ops: list[str] = []  # pending: infix symbols, "(" and "neg" (a unary minus)
+    lefts: list[Expr] = []  # the left operand of each pending infix symbol
+    while True:
+        tok = tokens[i]
+        if tok.kind in ("-", "("):
+            if len(ops) - len(lefts) == MAX_NESTING:  # the "(" and "neg" entries
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
+            ops.append("neg" if tok.kind == "-" else "(")
+            i += 1
+            continue
+        value, i = (_root_form if tok.kind == "name" else _literal)(tokens, i)
+        while True:  # after a value: close what it completes
+            while ops and ops[-1] == "neg":
+                value = Neg(value)
+                ops.pop()
+            tok = tokens[i]
+            # reduce what binds at least as tightly (left associative); a token
+            # that is no infix operator reduces everything up to a parenthesis
+            level = _PRECEDENCE.get(tok.kind, 0)
+            while ops and _PRECEDENCE.get(ops[-1], -1) >= level:
+                value = _BINARY[ops.pop()](lefts.pop(), value)
+            if tok.kind in _PRECEDENCE:
+                lefts.append(value)
+                ops.append(tok.kind)
+                i += 1
+                break
+            if not ops and tok.kind != "end":
+                raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
+            if not ops:
+                return value
+            _expect(tok, ")")  # ops[-1] is the innermost open "("
+            ops.pop()
+            i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +503,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parsing, evaluating and bracketing a flat sum are iterative, but
-        # a product brackets its operands by recursion, so a long "*"
-        # chain can still run out
+        # only `cut.bracket` recurses, through products and inverses, so a
+        # long "*" chain can still run out
         print("error: expression is too deep to evaluate", file=sys.stderr)
         return 2
     except (ZeroDivisorAtPrecision, ZeroAtPrecision,
@@ -522,4 +514,10 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:  # as the `signal` docs advise for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

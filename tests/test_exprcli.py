@@ -1,9 +1,13 @@
 """Expression grammar, evaluation, and the command line contract."""
 
 import argparse
+import dataclasses
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from segreals import (
     DomainError,
     ParseError,
     ZeroDivisorAtPrecision,
+    cut,
     evaluate,
     exprcli,
     parse,
@@ -78,6 +83,185 @@ def _tokenize_by_characters(text):
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+class _DescentParser:
+    """The parser as recursive descent, one method per grammar rule.
+
+    `parse` must agree with it on every text: the same tree, or the same
+    exception type, message and offset.  It recurses about four frames
+    per level of parentheses, which the loop in `parse` does not.
+    """
+
+    LEVELS = (("+", "-"), ("*", "/"))  # operator symbols, loosest first
+    BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+
+    def __init__(self, text):
+        self.tokens = exprcli._tokenize(text)
+        self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs around pos
+
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
+
+    def peek(self, ahead=0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        if tok.kind != "end":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                             tok.offset)
+        return self.take()
+
+    def parse(self):
+        e = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
+        return e
+
+    def expr(self, level=0):
+        if level == len(self.LEVELS):
+            return self.factor()
+        e = self.expr(level + 1)
+        while self.peek().kind in self.LEVELS[level]:
+            e = self.BINARY[self.take().kind](e, self.expr(level + 1))
+        return e
+
+    def factor(self):
+        if self.peek().kind == "-":
+            self.nest(self.take())
+            e = Neg(self.factor())
+            self.depth -= 1
+            return e
+        return self.primary()
+
+    def primary(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            return Literal(self.rational())
+        if tok.kind == "name":
+            return self.root_form()
+        if tok.kind == "(":
+            self.nest(self.take())
+            e = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return e
+        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
+                         tok.offset)
+
+    def rational(self):
+        num = exprcli._int(self.expect("int"))
+        den = 1
+        if self.peek().kind == "/" and self.peek(1).kind == "int" \
+                and exprcli._int(self.peek(1)) > 0:
+            self.take()
+            den = exprcli._int(self.take())
+        return Fraction(num, den)
+
+    def radicand(self):
+        tok = self.peek()
+        negative = False
+        if tok.kind == "-":
+            self.take()
+            negative = True
+        start = self.peek()
+        if start.kind != "int":
+            raise ParseError(
+                f"expected a rational literal, found {start.text or 'end of input'!r}",
+                start.offset)
+        num = exprcli._int(self.take())
+        den = 1
+        if self.peek().kind == "/":
+            self.take()
+            den = exprcli._int(self.expect("int"))
+        if negative or num == 0 or den == 0:
+            raise DomainError("root radicand must be a positive rational literal",
+                              tok.offset)
+        return Literal(Fraction(num, den))
+
+    def root_form(self):
+        name = self.take()
+        if name.text not in ("sqrt", "root"):
+            raise ParseError(f"unknown function {name.text!r}", name.offset)
+        self.expect("(")
+        degree, deg_tok = 2, name
+        if name.text == "root":
+            deg_tok = self.expect("int")
+            degree = exprcli._int(deg_tok)
+            self.expect(",")
+        rad = self.radicand()
+        self.expect(")")
+        try:
+            cut.check_root_degree(degree)
+        except cut.BadDegreeError as exc:
+            raise DomainError(str(exc), deg_tok.offset) from None
+        return Root(degree, rad)
+
+
+def _outcome(parser, text):
+    """The tree `parser` reads from `text`, or its exception's type, message
+    and offset."""
+    try:
+        return parser(text)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _assert_parsed_as_by_descent(text):
+    assert _outcome(parse, text) == _outcome(lambda t: _DescentParser(t).parse(), text)
+
+
+def _call_with_frames_left(frames, fn, *args):
+    """fn(*args), called with `frames` Python frames left below the
+    recursion limit."""
+    depth, f = 0, sys._getframe()
+    while f is not None:
+        depth, f = depth + 1, f.f_back
+
+    def dive(k):
+        return dive(k - 1) if k else fn(*args)
+    # dive's own first frame and fn's frame are on top of the current ones
+    return dive(sys.getrecursionlimit() - frames - depth - 2)
+
+
+def _flat(e):
+    """A tree as the list of its nodes in preorder, each as its kind and
+    its fields that are not subtrees; listed without recursion, so two
+    trees of any depth compare."""
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        fields = [getattr(e, f.name) for f in dataclasses.fields(e)]
+        out.append((type(e), [v for v in fields if not dataclasses.is_dataclass(v)]))
+        todo += reversed([v for v in fields if dataclasses.is_dataclass(v)])
+    return out
+
+
+# pieces of texts for the parser parity test: the grammar's tokens and
+# forms, its error cases, an oversized literal, and runs of openers and
+# closers at and around the nesting limit
+_PIECES = (
+    "0", "1", "7", "12", "2/3", "3/0", "0/4", " ", "+", "-", "*", "/", "(", ")",
+    ",", "sqrt", "root", "sqrt(", "root(", "root(3,", "root(0, ", "root(1,",
+    f"root({MAX_ROOT_DEGREE},", f"root({MAX_ROOT_DEGREE + 1},",
+    "root(10000000000000000000000,",
+    "sqrt(2)", "sqrt(-1)", "sqrt(0)", "sqrt(1/0)", "sqrt(-2/3)", "root(4, 5/2)", "log",
+    "x", "$", "\u00b2", "7" * 5000, "(" * (MAX_NESTING - 1), "(" * MAX_NESTING,
+    "-" * (MAX_NESTING - 1), "-" * MAX_NESTING, "-(" * (MAX_NESTING // 2),
+    ")" * (MAX_NESTING // 2), ")" * MAX_NESTING,
+)
+_piece_texts = st.lists(st.sampled_from(_PIECES), max_size=14).map("".join)
 
 
 # texts over the grammar's own characters and their Unicode look-alikes:
@@ -213,6 +397,48 @@ class TestParse:
         assert "too long" in str(exc.value)
         assert "set_int_max_str_digits" not in str(exc.value)
 
+    @given(_piece_texts)
+    @settings(max_examples=500, deadline=None)
+    def test_parser_matches_recursive_descent(self, text):
+        _assert_parsed_as_by_descent(text)
+
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+        "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+        "-" * MAX_NESTING + "1",
+        "-" * (MAX_NESTING + 1) + "1",
+        "-(" * (MAX_NESTING // 2) + "1" + ")" * (MAX_NESTING // 2),
+        "(-" * (MAX_NESTING // 2) + "1" + ")" * (MAX_NESTING // 2),
+        "(" * MAX_NESTING + "1" + ")" * (MAX_NESTING - 1),
+        "(" * MAX_NESTING + "1" + ")" * (MAX_NESTING + 1),
+        "(" * MAX_NESTING + ")",
+        "1 + (2 * (3 - -(4 / 5))) / 6 - 7",
+        "2 * 3 / 4 * 5 - 6 + 7 / 8 / 9",
+        "1/0/0", "1/2/3", "4/5 / 6/7", "- 1/2", "1 - - 2",
+        "", " ", ")", "1)", "(1))", "()", "1 (", "1 sqrt(2)", "sqrt(2) 3", "1,2",
+        "root(3 2)", "root(,2)", "root(3,)", "sqrt(2", "sqrt(2/)", "sqrt(2/x)",
+        "sqrt(-)", "sqrt(- 0)", "sqrt(2/0", "root(0, -1)", "root(5001, 2", "root(1, 0)",
+        "1 + " + "7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/2",
+        "root(" + "7" * 5000 + ", 2)", "sqrt(2/" + "7" * 5000 + ")",
+        "sqrt(" + "7" * 5000 + "/0)",
+    ])
+    def test_parser_matches_recursive_descent_at_the_edges(self, text):
+        _assert_parsed_as_by_descent(text)
+
+    @pytest.mark.parametrize("opener", ["(", "-"])
+    def test_deepest_nesting_parses_near_the_recursion_limit(self, opener):
+        # parse keeps its own stacks: 40 frames are plenty for the
+        # deepest input, where recursive descent needs about 400
+        closers = ")" * MAX_NESTING if opener == "(" else ""
+        text = opener * MAX_NESTING + "1" + closers
+        tree, levels = _call_with_frames_left(40, parse, text), 0
+        while isinstance(tree, Neg):
+            tree, levels = tree.operand, levels + 1
+        assert tree == lit(1)
+        assert levels == (MAX_NESTING if opener == "-" else 0)
+        with pytest.raises(RecursionError):
+            _call_with_frames_left(40, lambda: _DescentParser(text).parse())
+
 
 # a recursive strategy over syntax trees, for the round-trip law
 _literals = st.one_of(
@@ -255,8 +481,71 @@ class TestUnparse:
             tree = parse(text)
             assert parse(unparse(tree)) == tree
 
+    @pytest.mark.parametrize("text, rendered", [
+        ("1/(2)", "1 / (2)"),
+        ("(1)/2", "1 / (2)"),
+        ("2 / 1/3", "2 / (3)"),
+        ("1 - (2 - 3)", "1 - (2 - 3)"),
+        ("(1 - 2) - 3", "1 - 2 - 3"),
+        ("-(1 + 2) * 3", "-(1 + 2) * 3"),
+        ("-(1 * 2)", "-(1 * 2)"),
+        ("(1 + 2) * 3", "(1 + 2) * 3"),
+        ("1 + 2 * 3", "1 + 2 * 3"),
+        ("2 * (3 / sqrt(4))", "2 * (3 / root(2, 4))"),
+        ("2 * (3 / 4)", "2 * 3/4"),
+        ("2 * 3/4", "2 * 3/4"),
+        ("1/2 / (1/3)", "1/2 / (1/3)"),
+        ("sqrt(2) / 2", "root(2, 2) / (2)"),
+        ("1 - -2", "1 - -2"),
+        ("--2", "- -2"),
+        ("-(-(2))", "- -2"),
+        ("-sqrt(2) * -root(3, 5/2)", "-root(2, 2) * -root(3, 5/2)"),
+        ("1/0", "1 / (0)"),
+    ])
+    def test_parentheses_only_where_needed(self, text, rendered):
+        tree = parse(text)
+        assert unparse(tree) == rendered
+        assert parse(rendered) == tree
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    @pytest.mark.parametrize("length", [150, 3000])
+    def test_long_chains_round_trip(self, op, length):
+        # a chain renders without parentheses, so it never reaches the
+        # nesting limit, and renders without recursion at any length
+        term = "sqrt(2)" if op == "/" else "1"
+        tree = parse(op.join([term] * (length + 1)))
+        assert _flat(tree)[:length] == [(_DescentParser.BINARY[op], [])] * length
+        text = unparse(tree)
+        assert text == f" {op} ".join([unparse(parse(term))] * (length + 1))
+        assert _flat(parse(text)) == _flat(tree)
+
+    @pytest.mark.parametrize("text", [
+        "-" * MAX_NESTING + "1",
+        "(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+        "-(" * (MAX_NESTING // 2) + "1 + 2" + ")" * (MAX_NESTING // 2),
+        "1" + "-(1" * (MAX_NESTING - 1) + ")" * (MAX_NESTING - 1),
+    ])
+    def test_deepest_trees_round_trip(self, text):
+        tree = parse(text)
+        rendered = _call_with_frames_left(40, unparse, tree)
+        assert _flat(parse(rendered)) == _flat(tree)
+
+    def test_negations_never_start_with_two_minus_signs(self):
+        # a text that starts with "--" would read as an option
+        tree = Neg(Neg(lit(3)))
+        assert unparse(tree) == "- -3"
+        assert run_cli(["eval", unparse(tree), "--digits", "2"]) == (0, "3.00\n", "")
+
+    def test_not_a_tree(self):
+        with pytest.raises(TypeError, match="cannot render int"):
+            unparse(Add(lit(1), 2))
+
 
 class TestEvaluate:
+    def test_not_a_tree(self):
+        with pytest.raises(TypeError, match="cannot evaluate str"):
+            evaluate(Neg("1"), 10)
+
     @pytest.mark.parametrize("text,value", [
         ("2", Fraction(2)),
         ("1/3 + 1/6", Fraction(1, 2)),
@@ -528,6 +817,29 @@ class TestEntryPoint:
             exprcli.main()
         assert exit_.value.code == code
         assert capsys.readouterr().out == stdout
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("digits", ["3", "10000"])
+    def test_closed_pipe_ends_without_a_traceback(self, digits):
+        # stdout is block-buffered, so the answer is written when main
+        # flushes it (3 digits) or while it is printed (10 000 digits)
+        src = str(Path(exprcli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "from segreals.exprcli import main; main()",
+                 "eval", "sqrt(2)", "--digits", digits],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
 
 
 class TestCliConfig:
