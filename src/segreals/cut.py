@@ -37,18 +37,19 @@ this module goes through ``membership_leaf``, so wrapping those two
 module attributes sees every bracket and every membership test.
 
 Every node also carries a ``ceiling``: an integer at or above its
-value, so a non-member, fixed when the node is built from its operands'
-ceilings, with no bracket and no recursion.  A rational leaf takes its
-bound rounded up, a root leaf a power of two from the bit length of its
-radicand, an oracle leaf its outside witness rounded up; a sum adds its
-operands' ceilings, a product multiplies them, a finite sup takes their
-largest and a difference its upper operand's.  An inverse has none
-(None), since its operand, a difference, has no lower bound before its
-operands separate, and None propagates upward.  A product whose
-operands both have one asks each at 4n times the other's, which is
-what that operand's error costs in the product; so a chain of L
-products costs about 2L brackets, where bracketing each operand at
-n = 1 first for its magnitude walked the chain below at every level.
+value, so a non-member, fixed when the node is built, without recursion.
+A rational leaf takes its bound rounded up, a root leaf a power of two
+from the bit length of its radicand, an oracle leaf its outside witness
+rounded up; a sum adds its operands' ceilings, a product multiplies
+them, a finite sup takes their largest and a difference its upper
+operand's.  An inverse brackets its operand once, at n = 1, when it is
+built, and keeps that bracket's lower end x0, a member of the operand:
+its own value is then below 1/x0, which gives its ceiling, and x0 bounds
+the operand from below in every later bracket.  A product asks each
+operand at 4n times the other's ceiling, which is what that operand's
+error costs in the product; so a chain of L products costs about 2L
+brackets, where bracketing each operand at n = 1 first for its
+magnitude walked the chain below at every level.
 
 A bracket's endpoints need not be the exact rationals the arithmetic
 produced.  ``Product`` and ``Inverse`` round theirs outward onto the
@@ -151,23 +152,21 @@ class Cut:
     it was asked at, replaced by narrower brackets only and never filled
     on kinds whose `_keeps_best` is false.  `ceiling` is fixed when the
     node is built: an integer at or above its value, so a non-member,
-    derived from its operands' ceilings without a bracket, or None when
-    the kind has no such bound (an inverse, and every node above one).
-    Each subclass
-    supplies `_fresh(n, budget)`, its bracket at precision n computed
-    without the cache, and a `__repr__` giving its s-expression.  Which
-    bracket a request gets depends on what was asked before; every one
-    is certified and at most 1/n wide, also for concurrent callers,
-    which may each compute a fresh bracket and then get different,
-    equally valid ones.  Identity, not structure, is node equality:
-    value equality of cuts is only ever semidecidable and is
-    deliberately not spelled __eq__.
+    derived from its operands' ceilings, or for an inverse from a member
+    of its operand.  Each subclass supplies `_fresh(n, budget)`, its
+    bracket at precision n computed without the cache, and a `__repr__`
+    giving its s-expression.  Which bracket a request gets depends on
+    what was asked before; every one is certified and at most 1/n wide,
+    also for concurrent callers, which may each compute a fresh bracket
+    and then get different, equally valid ones.  Identity, not
+    structure, is node equality: value equality of cuts is only ever
+    semidecidable and is deliberately not spelled __eq__.
     """
 
     __slots__ = ("_best", "ceiling")
     _keeps_best = True
 
-    def __init__(self, ceiling: int | None) -> None:
+    def __init__(self, ceiling: int) -> None:
         self._best: tuple[int, Bracket | None] = (0, None)
         self.ceiling = ceiling
 
@@ -322,8 +321,7 @@ class Sum(Cut):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Cut, right: Cut) -> None:
-        a, b = left.ceiling, right.ceiling
-        super().__init__(None if a is None or b is None else a + b)
+        super().__init__(left.ceiling + right.ceiling)
         self.left = left
         self.right = right
 
@@ -354,42 +352,29 @@ class Product(Cut):
 
     The exact product of brackets (x, X] and (y, Y] is X*Y - x*y =
     X*(Y - y) + y*(X - x) wide, so each operand's error costs the other
-    operand's size.  When both operands have a ceiling, A and B, each is
-    asked at 4n times the other's, and X is clamped to A: the exact
-    product is then at most A/(4nA) + B/(4nB) = 1/(2n) wide, with no
-    bracket spent on magnitudes.  Otherwise both are bracketed at n = 1
-    first and then asked at ceil(2n * M), M the sum of those coarse
-    upper ends, for the same 1/(2n).  Either way it is then rounded
-    outward onto the grid 1/2^k, 2^k >= 4n, at most 1/(2n) more.  A
-    lower end with no positive grid point below it is kept unrounded,
-    since a bracket's lower end is never 0.
+    operand's size.  With ceilings A and B, each operand is asked at 4n
+    times the other's, and X is clamped to A: the exact product is then
+    at most A/(4nA) + B/(4nB) = 1/(2n) wide, with no bracket spent on
+    magnitudes.  It is then rounded outward onto the grid 1/2^k,
+    2^k >= 4n, at most 1/(2n) more.  A lower end with no positive grid
+    point below it is kept unrounded, since a bracket's lower end is
+    never 0.
     """
 
     __slots__ = ("left", "right")
 
     def __init__(self, left: Cut, right: Cut) -> None:
-        a, b = left.ceiling, right.ceiling
-        super().__init__(None if a is None or b is None else a * b)
+        super().__init__(left.ceiling * right.ceiling)
         self.left = left
         self.right = right
 
     def _fresh(self, n: int, budget: int) -> Bracket:
         a, b = self.left.ceiling, self.right.ceiling
-        if a is None or b is None:
-            # magnitude first: hi_left + hi_right bounds the derivative of
-            # x*y on the enclosure, so operands at ceil(2n * M) leave the
-            # exact product at most 1/(2n) wide
-            ca = bracket(self.left, 1, budget)
-            cb = bracket(self.right, 1, budget)
-            m = ceil_int(PosRational(2 * n) * (ca.hi + cb.hi))
-            fa = _clamp(bracket(self.left, m, budget), ca)
-            fb = _clamp(bracket(self.right, m, budget), cb)
-        else:
-            fa = bracket(self.left, 4 * n * b, budget)
-            fb = bracket(self.right, 4 * n * a, budget)
-            if a * fa.hi.den < fa.hi.num:
-                # A is a non-member, so (x, A] is still a bracket
-                fa = Bracket(fa.lo, PosRational(a))
+        fa = bracket(self.left, 4 * n * b, budget)
+        fb = bracket(self.right, 4 * n * a, budget)
+        if a * fa.hi.den < fa.hi.num:
+            # A is a non-member, so (x, A] is still a bracket
+            fa = Bracket(fa.lo, PosRational(a))
         k = _grid_bits(n)
         lo = fa.lo * fb.lo
         # a member too small for the grid stays as it is
@@ -402,31 +387,38 @@ class Product(Cut):
 class Inverse(Cut):
     """Rationals lying below the reciprocal of some non-member.
 
-    From an operand bracket (x, y] at most x0^2/(2n) wide, 1/x - 1/y is
-    at most 1/(2n).  Then 1/x is rounded up and 1/y strictly down onto
-    the grid 1/2^k, 2^k >= 4n, at most 1/(2n) more; strictly, because
-    1/y itself is a member only when y is above the operand's value.
-    When 1/y <= 1/2^k has no positive grid point below it, the lower end
-    is y.den/(y.num + 1), below 1/y by less than 1/y.
+    Built with x0, the lower end of its operand's bracket at n = 1, a
+    member of the operand: the value is below 1/x0, so ceil(1/x0) + 1 is
+    a ceiling, and the lower end x of every later operand bracket is
+    raised to at least x0.  From an operand bracket (x, y] at most
+    x0^2/(2n) wide, 1/x - 1/y is then at most 1/(2n).  Then 1/x is
+    rounded up and 1/y strictly down onto the grid 1/2^k, 2^k >= 4n, at
+    most 1/(2n) more; strictly, because 1/y itself is a member only when
+    y is above the operand's value.  When 1/y <= 1/2^k has no positive
+    grid point below it, the lower end is y.den/(y.num + 1), below 1/y
+    by less than 1/y.
     """
 
-    __slots__ = ("operand",)
+    __slots__ = ("operand", "x0")
 
-    def __init__(self, operand: Cut) -> None:
-        # the operand is a difference, which has no lower bound before
-        # its operands separate, so the reciprocal has no ceiling
-        super().__init__(None)
+    def __init__(self, operand: Cut, budget: int | None = None) -> None:
+        x0 = bracket(operand, 1, budget).lo
+        # ceil(1/x0) is a ceiling already; one more makes a product over
+        # the inverse ask its other factor finer (twice as fine when the
+        # inverse is below 1), and in a chain of divisions that product's
+        # stored bracket then serves the next divisor's certificate
+        super().__init__(ceil_int(x0.reciprocal()) + 1)
         self.operand = operand
+        self.x0 = x0
 
     def _fresh(self, n: int, budget: int) -> Bracket:
-        coarse = bracket(self.operand, 1, budget)
-        x0 = coarse.lo
+        x0 = self.x0
         # 1/x - 1/y = (y - x)/(x*y) <= (y - x)/x0^2 once both endpoints sit
         # above x0, so operand width x0^2/(2n) keeps the reciprocal gap under
         # 1/(2n)
         m = max(1, ceil_int(PosRational(2 * n * x0.den ** 2, x0.num ** 2)))
-        fine = _clamp(bracket(self.operand, m, budget), coarse)
-        x, y = fine.lo, fine.hi
+        fine = bracket(self.operand, m, budget)
+        x, y = max(fine.lo, x0), fine.hi
         k = _grid_bits(n)
         # y is outside the operand, so everything strictly below 1/y is a
         # member, and 1/x is above every member
@@ -486,8 +478,7 @@ class SupFinite(Cut):
     __slots__ = ("members",)
 
     def __init__(self, members: tuple[Cut, ...]) -> None:
-        ceilings = [m.ceiling for m in members]
-        super().__init__(None if None in ceilings else max(ceilings))
+        super().__init__(max(m.ceiling for m in members))
         self.members = members
 
     def _fresh(self, n: int, budget: int) -> Bracket:
@@ -539,8 +530,9 @@ def mul(a: Cut, b: Cut) -> Product:
     return Product(a, b)
 
 
-def inverse(a: Cut) -> Inverse:
-    return Inverse(a)
+def inverse(a: Cut, budget: int | None = None) -> Inverse:
+    """The reciprocal cut; brackets a once, at n = 1, within the budget."""
+    return Inverse(a, budget)
 
 
 def difference(a: Cut, b: Cut) -> Difference:

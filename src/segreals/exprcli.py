@@ -516,8 +516,12 @@ def cli_main(argv: list[str] | None = None) -> int:
 def main() -> None:
     try:
         code = cli_main(sys.argv[1:])
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-    except BrokenPipeError:  # as the `signal` docs advise for SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:
         code = 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()  # so that a closed pipe shows here, not at exit
+        except BrokenPipeError:  # as the `signal` docs advise for SIGPIPE
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            code = code or 1
     sys.exit(code)

@@ -118,13 +118,6 @@ ONE = PosRational(1)
 TWO = PosRational(2)
 
 
-def compare(a: PosRational, b: PosRational) -> int:
-    """Exact three-way comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    lhs = a.num * b.den
-    rhs = b.num * a.den
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def mediant(a: PosRational, b: PosRational) -> PosRational:
     """The mediant of a < b, computed on the stored reduced pairs.
 

@@ -235,13 +235,14 @@ def inv(x: Real, n: int, budget: int | None = None) -> Real:
     The canonical form [(S_1 + C, S_1)] of a certified positive inverts
     to [(C^ + S_1, S_1)] with C^ the reciprocal cut of the magnitude;
     the negative case mirrors the components.  The result knows its
-    sign, and C^ is its magnitude.
+    sign, and C^ is its magnitude; building C^ brackets C once, within
+    the same budget.
     """
     form = canonicalize(x, n, budget)
     if isinstance(form, PositiveForm):
-        return signed(cut.inverse(form.magnitude))
+        return signed(cut.inverse(form.magnitude, budget))
     if isinstance(form, NegativeForm):
-        return signed(cut.inverse(form.magnitude), negative=True)
+        return signed(cut.inverse(form.magnitude, budget), negative=True)
     if isinstance(form, ZeroForm):
         raise ZeroAtPrecision(n, "the value is exactly zero and has no inverse")
     raise ZeroAtPrecision(n)

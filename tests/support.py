@@ -42,6 +42,13 @@ def brackets_overlap(a: Bracket, b: Bracket) -> bool:
     return not (a.hi < b.lo or b.hi < a.lo)
 
 
+def compare(a: PosRational, b: PosRational) -> int:
+    """Exact three-way comparison: -1 if a < b, 0 if equal, +1 if a > b."""
+    lhs = a.num * b.den
+    rhs = b.num * a.den
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def straddles(b: Bracket, value: Fraction) -> bool:
     """lo < value <= hi, the enclosure a bracket promises for its value."""
     return fr(b.lo) < value <= fr(b.hi)

@@ -625,8 +625,7 @@ class TestMemoisation:
                 pool.append(getattr(real, op)(x, y))
         nodes = list(surd_values([c for x in pool for c in (x.pos, x.neg)], p).values())
         for c, (a, b) in nodes:
-            if c.ceiling is not None:  # an inverse, and every node above one, has none
-                assert surd_sign(c.ceiling - a, -b, p) >= 0  # value <= ceiling
+            assert surd_sign(c.ceiling - a, -b, p) >= 0  # value <= ceiling
         for k, n in requests:
             c, (a, b) = nodes[k % len(nodes)]
             br = bracket(c, n)
@@ -929,10 +928,15 @@ class TestCeilings:
         a, b = s_r(q(5, 2)), root_cut(2, q(2))
         assert (add(a, b).ceiling, mul(a, b).ceiling, difference(b, a).ceiling) == (5, 6, 3)
         assert sup_finite([a, b, s_r(q(1))]).ceiling == 3
-        # an inverse has none, and every node above one inherits that
-        for c in (inverse(a), mul(a, inverse(b)), add(inverse(b), a),
-                  sup_finite([a, inverse(b)]), difference(a, inverse(s_r(q(1, 9))))):
-            assert c.ceiling is None
+        # an inverse keeps x0, the lower end of its operand's bracket at
+        # n = 1 (a leaf's inner witness here), and takes ceil(1/x0) + 1
+        assert (inverse(a).x0, inverse(a).ceiling) == (q(5, 3), 2)
+        assert (inverse(s_r(q(1, 9))).x0, inverse(s_r(q(1, 9))).ceiling) == (q(1, 10), 11)
+        assert inverse(inverse(s_r(q(3)))).ceiling == 5  # x0 = 1/4
+        # and the nodes above an inverse build on its ceiling
+        assert (mul(a, inverse(b)).ceiling, add(inverse(b), a).ceiling) == (6, 5)
+        assert sup_finite([a, inverse(b)]).ceiling == 3
+        assert difference(a, inverse(s_r(q(1, 9)))).ceiling == 11
 
     @given(st.integers(2, 5),
            st.lists(st.tuples(st.sampled_from(["rational", "oracle"]),
@@ -1010,11 +1014,34 @@ class TestCeilings:
         assert out == f"{2 ** 100}.00000"
         assert calls <= 400
 
+    def test_product_over_an_inverse_asks_nothing_at_one(self, asked):
+        # the inverse bracketed its operand at n = 1 when it was built; the
+        # product then asks each operand at 4n times the other's ceiling
+        # (the difference below still searches for its separation from t = 1)
+        _, _, requests = asked
+        a = root_cut(2, q(2))
+        inv = inverse(difference(s_r(q(1)), add(a, s_r(q(1)))))
+        requests.clear()
+        br = bracket(mul(a, inv), 1000)
+        assert fr(br.width) <= Fraction(1, 1000) and straddles(br, Fraction(1))
+        below = (a, inv, inv.operand)
+        assert [n for c, n in requests if n == 1 and any(c is b for b in below)] == []
+        assert any(c is inv.operand for c, _ in requests)
+
+    def test_inverse_brackets_its_operand_when_built(self):
+        # two equal values never separate, so the budget runs out while
+        # the inverse is built, before anything asks it for a bracket
+        zero = difference(s_r(q(2)), s_r(q(2)))
+        with pytest.raises(PrecisionBudgetExhausted):
+            inverse(zero, budget=2 ** 10)
+
     @pytest.mark.parametrize("levels, before", [(30, 4582), (60, 14812)])
     def test_nested_inverses_cost_no_more(self, counted, levels, before):
-        # an inverse has no ceiling, so products above one keep the rule
-        # that brackets both operands at n = 1 first; a ceiling guessed
-        # from that coarse bracket made these chains dearer
+        # each inverse keeps a member x0 of its operand from when it was
+        # built, so products above one ask without an n = 1 step; its
+        # ceiling, ceil(1/x0) + 1, asks the other factor finely enough
+        # that the next divisor's certificate finds the product's stored
+        # bracket narrow enough, where ceil(1/x0) alone made L = 60 dearer
         _, brackets, _ = counted
         out, calls = self.evaluated(brackets, "1/(" * levels + "3" + ")" * levels)
         assert out == "3.00000"

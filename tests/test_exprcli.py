@@ -841,6 +841,31 @@ class TestClosedPipe:
         assert "Traceback" not in done.stderr
         assert "Exception ignored" not in done.stderr
 
+    @pytest.mark.parametrize("argv", [["eval", "1 +"], ["eval", "1/0"], ["eval"]])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stderr_ends_without_a_traceback(self, argv, unbuffered):
+        # the diagnostic cannot be written; an uncaught exception would
+        # reach the hook, which reports on stdout, and a failed flush at
+        # exit would end the process with 120
+        src = str(Path(exprcli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        hook = "import sys; sys.excepthook = lambda *exc: print('Traceback', exc[1])\n"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", hook + "from segreals.exprcli import main; main()",
+                 *argv],
+                stdout=subprocess.PIPE, stderr=write, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode in (1, 2)
+        assert done.stdout == ""
+
 
 class TestCliConfig:
     def test_config_file_sets_digits(self, tmp_path, monkeypatch):

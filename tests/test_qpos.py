@@ -14,9 +14,9 @@ from segreals import (
     archimedean_bound,
     mediant,
 )
-from segreals.qpos import ceil_int, compare, halve, int_str
+from segreals.qpos import ceil_int, halve, int_str
 
-from support import fr, long_int, q
+from support import compare, fr, long_int, q
 
 rationals = st.builds(PosRational, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
 
