@@ -49,7 +49,7 @@ def _ratio_str(v: Fraction) -> str:
     return f"{int_str(v.numerator)}/{int_str(v.denominator)}"
 
 
-def rational_interval(x: Real, n: int, budget: int | None = None) -> SignedInterval:
+def rational_interval(x: Real, n: int) -> SignedInterval:
     """An interval of width at most 1/n certified to contain the value.
 
     Each component is bracketed at 2n, so the two half-widths add up to
@@ -57,12 +57,12 @@ def rational_interval(x: Real, n: int, budget: int | None = None) -> SignedInter
     """
     if n < 1:
         raise ValueError(f"precision denominator must be >= 1, got {n}")
-    bp = cut.bracket(x.pos, 2 * n, budget)
-    bm = cut.bracket(x.neg, 2 * n, budget)
+    bp = cut.bracket(x.pos, 2 * n)
+    bm = cut.bracket(x.neg, 2 * n)
     return SignedInterval(_minus(bp.lo, bm.hi), _minus(bp.hi, bm.lo))
 
 
-def decimal(x: Real, digits: int, budget: int | None = None) -> str:
+def decimal(x: Real, digits: int) -> str:
     """Decimal rendering with `digits` fractional digits, never a lie.
 
     Works from an interval 10^-(digits+2) wide.  When both endpoints
@@ -73,7 +73,7 @@ def decimal(x: Real, digits: int, budget: int | None = None) -> str:
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    iv = rational_interval(x, 10 ** (digits + 2), budget)
+    iv = rational_interval(x, 10 ** (digits + 2))
     if not (iv.lo < 0 < iv.hi):
         a = _round_half_up(iv.lo, digits)
         b = _round_half_up(iv.hi, digits)

@@ -49,7 +49,10 @@ the operand from below in every later bracket.  A product asks each
 operand at 4n times the other's ceiling, which is what that operand's
 error costs in the product; so a chain of L products costs about 2L
 brackets, where bracketing each operand at n = 1 first for its
-magnitude walked the chain below at every level.
+magnitude walked the chain below at every level.  A difference settles
+its premise, lower below upper, when it is built too: the search for
+brackets that separate its operands is the only work with a budget, so
+``bracket`` takes none and never runs out of one.
 
 A bracket's endpoints need not be the exact rationals the arithmetic
 produced.  ``Product`` and ``Inverse`` round theirs outward onto the
@@ -75,9 +78,8 @@ from typing import Callable, Iterable
 
 from .qpos import ONE, PosRational, archimedean_bound, ceil_int, halve
 
-# Cap on the precision denominator reached while hunting for a
-# separation inside `difference`.  Exhausting it raises instead of
-# looping forever on an unseparable (equal-valued) pair.
+# Cap on the precision denominator of `difference`'s search for a separation:
+# past it, it raises instead of looping forever on a pair of equal values.
 DEFAULT_BUDGET = 2 ** 64
 
 # Largest root degree `root_cut` accepts.  Bracketing a root raises
@@ -109,9 +111,9 @@ class EmptyFamilyError(ValueError):
 class PrecisionBudgetExhausted(ArithmeticError):
     """difference could not separate its arguments within the budget.
 
-    Raised, never looped on: two cuts with equal values can never be
-    separated, and the caller is the only one who knows how long a wait
-    is worth it.
+    Raised when the difference is built, and never looped on: two cuts
+    with equal values can never be separated, and the caller is the only
+    one who knows how long a wait is worth it.
     """
 
 
@@ -153,10 +155,10 @@ class Cut:
     on kinds whose `_keeps_best` is false.  `ceiling` is fixed when the
     node is built: an integer at or above its value, so a non-member,
     derived from its operands' ceilings, or for an inverse from a member
-    of its operand.  Each subclass supplies `_fresh(n, budget)`, its
-    bracket at precision n computed without the cache, and a `__repr__`
-    giving its s-expression.  Which bracket a request gets depends on
-    what was asked before; every one is certified and at most 1/n wide,
+    of its operand.  Each subclass supplies `_fresh(n)`, its bracket at
+    precision n computed without the cache, and a `__repr__` giving its
+    s-expression.  Which bracket a request gets depends on what was
+    asked before; every one is certified and at most 1/n wide,
     also for concurrent callers, which may each compute a fresh bracket
     and then get different, equally valid ones.  Identity, not
     structure, is node equality: value equality of cuts is only ever
@@ -190,7 +192,7 @@ class Leaf(Cut):
     __slots__ = ()
     _keeps_best = False
 
-    def _fresh(self, n: int, budget: int) -> Bracket:
+    def _fresh(self, n: int) -> Bracket:
         return _grid_bracket(self, *self.witnesses(), n)
 
     def _climb(self, x: PosRational) -> PosRational:
@@ -292,7 +294,7 @@ class OracleCut(Leaf):
     def witnesses(self) -> tuple[PosRational, PosRational]:
         return self.witness_in, self.witness_out
 
-    def _fresh(self, n: int, budget: int) -> Bracket:
+    def _fresh(self, n: int) -> Bracket:
         return _bisect(self, *self.witnesses(), n)
 
     def _climb(self, x: PosRational) -> PosRational:
@@ -325,7 +327,7 @@ class Sum(Cut):
         self.left = left
         self.right = right
 
-    def _fresh(self, n: int, budget: int) -> Bracket:
+    def _fresh(self, n: int) -> Bracket:
         # the terms, left to right: a nested sum is opened into its
         # operands unless it holds a bracket already, or was opened before
         # in this pass; then it stays one term, refined through its own
@@ -340,7 +342,7 @@ class Sum(Cut):
             else:
                 terms.append(c)
         m = n << (len(terms) - 1).bit_length()
-        parts = [bracket(t, m, budget) for t in terms]
+        parts = [bracket(t, m) for t in terms]
         return Bracket(_total([p.lo for p in parts]), _total([p.hi for p in parts]))
 
     def __repr__(self) -> str:
@@ -368,10 +370,10 @@ class Product(Cut):
         self.left = left
         self.right = right
 
-    def _fresh(self, n: int, budget: int) -> Bracket:
+    def _fresh(self, n: int) -> Bracket:
         a, b = self.left.ceiling, self.right.ceiling
-        fa = bracket(self.left, 4 * n * b, budget)
-        fb = bracket(self.right, 4 * n * a, budget)
+        fa = bracket(self.left, 4 * n * b)
+        fb = bracket(self.right, 4 * n * a)
         if a * fa.hi.den < fa.hi.num:
             # A is a non-member, so (x, A] is still a bracket
             fa = Bracket(fa.lo, PosRational(a))
@@ -401,8 +403,8 @@ class Inverse(Cut):
 
     __slots__ = ("operand", "x0")
 
-    def __init__(self, operand: Cut, budget: int | None = None) -> None:
-        x0 = bracket(operand, 1, budget).lo
+    def __init__(self, operand: Cut) -> None:
+        x0 = bracket(operand, 1).lo
         # ceil(1/x0) is a ceiling already; one more makes a product over
         # the inverse ask its other factor finer (twice as fine when the
         # inverse is below 1), and in a chain of divisions that product's
@@ -411,13 +413,13 @@ class Inverse(Cut):
         self.operand = operand
         self.x0 = x0
 
-    def _fresh(self, n: int, budget: int) -> Bracket:
+    def _fresh(self, n: int) -> Bracket:
         x0 = self.x0
         # 1/x - 1/y = (y - x)/(x*y) <= (y - x)/x0^2 once both endpoints sit
         # above x0, so operand width x0^2/(2n) keeps the reciprocal gap under
         # 1/(2n)
         m = max(1, ceil_int(PosRational(2 * n * x0.den ** 2, x0.num ** 2)))
-        fine = bracket(self.operand, m, budget)
+        fine = bracket(self.operand, m)
         x, y = max(fine.lo, x0), fine.hi
         k = _grid_bits(n)
         # y is outside the operand, so everything strictly below 1/y is a
@@ -433,37 +435,33 @@ class Difference(Cut):
     """The unique cut that, added to `lower`, gives `upper`.
 
     Membership: every z expressible as x - y with x a member of upper,
-    y a non-member of lower and x > y.  Only meaningful when the value
-    of lower is strictly below the value of upper; bracketing detects
-    the failure of that premise as budget exhaustion, never silently.
-    Every fresh bracket searches for the separation again (t = 1, 2, 4,
-    ...), so the node keeps no cache beside `_best`; each step costs a
-    cached operand one lookup once it was asked that finely, and a
-    rational or root leaf one closed-form bracket.
+    y a non-member of lower and x > y.  Only meaningful when lower's
+    value is below upper's, which is settled when the node is built:
+    `ba` and `bb` are their brackets at the first width 1/t, t = 1, 2,
+    4, ..., with ba.hi < bb.lo (PrecisionBudgetExhausted past the
+    budget).  A fresh bracket asks each operand once, at max(2n, t), and
+    clamps it against that pair, which keeps its lower end positive.
     """
 
-    __slots__ = ("lower", "upper")
+    __slots__ = ("lower", "upper", "t", "ba", "bb")
 
-    def __init__(self, lower: Cut, upper: Cut) -> None:
+    def __init__(self, lower: Cut, upper: Cut, budget: int | None = None) -> None:
         super().__init__(upper.ceiling)
         self.lower = lower
         self.upper = upper
-
-    def _fresh(self, n: int, budget: int) -> Bracket:
         t = 1
-        while True:
-            ba = bracket(self.lower, t, budget)
-            bb = bracket(self.upper, t, budget)
-            if ba.hi < bb.lo:
-                break
+        while (ba := bracket(lower, t)).hi >= (bb := bracket(upper, t)).lo:
             t *= 2
-            if t > budget:
+            if t > (DEFAULT_BUDGET if budget is None else budget):
                 raise PrecisionBudgetExhausted(
                     f"no separation between the operands down to width 1/{t // 2}; "
                     f"their values may be equal")
-        m = max(2 * n, t)
-        fa = _clamp(bracket(self.lower, m, budget), ba)
-        fb = _clamp(bracket(self.upper, m, budget), bb)
+        self.t, self.ba, self.bb = t, ba, bb
+
+    def _fresh(self, n: int) -> Bracket:
+        m = max(2 * n, self.t)
+        fa = _clamp(bracket(self.lower, m), self.ba)
+        fb = _clamp(bracket(self.upper, m), self.bb)
         # fb.lo - fa.hi is a genuine member: upper-member minus lower-non-member,
         # positive thanks to the separation; fb.hi - fa.lo dominates every member
         return Bracket(fb.lo - fa.hi, fb.hi - fa.lo)
@@ -481,8 +479,8 @@ class SupFinite(Cut):
         super().__init__(max(m.ceiling for m in members))
         self.members = members
 
-    def _fresh(self, n: int, budget: int) -> Bracket:
-        parts = [bracket(m, n, budget) for m in self.members]
+    def _fresh(self, n: int) -> Bracket:
+        parts = [bracket(m, n) for m in self.members]
         # hi dominates every part's hi, so it is outside every member set;
         # the width is at most the width of the part owning the largest hi
         return Bracket(max(p.lo for p in parts), max(p.hi for p in parts))
@@ -530,14 +528,14 @@ def mul(a: Cut, b: Cut) -> Product:
     return Product(a, b)
 
 
-def inverse(a: Cut, budget: int | None = None) -> Inverse:
-    """The reciprocal cut; brackets a once, at n = 1, within the budget."""
-    return Inverse(a, budget)
+def inverse(a: Cut) -> Inverse:
+    """The reciprocal cut; brackets a once, at n = 1, when it is built."""
+    return Inverse(a)
 
 
-def difference(a: Cut, b: Cut) -> Difference:
-    """The cut c with a + c = b, assuming a's value is below b's."""
-    return Difference(a, b)
+def difference(a: Cut, b: Cut, budget: int | None = None) -> Difference:
+    """The cut c with a + c = b, once brackets within the budget put a below b."""
+    return Difference(a, b, budget)
 
 
 def sup_finite(members: Iterable[Cut]) -> SupFinite:
@@ -569,7 +567,7 @@ def next_member_above(a: Cut, x: PosRational) -> PosRational:
 # bracketing
 
 
-def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
+def bracket(a: Cut, n: int) -> Bracket:
     """A certified enclosure of width at most 1/n.
 
     Returns (lo, hi) with lo a member of a, hi a non-member, and
@@ -582,10 +580,9 @@ def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
     grid over their witnesses that bisection would walk, on every call;
     oracle leaves are bisected; composite nodes recurse structurally
     through this function, so a shared subtree is bracketed afresh only
-    when a request is finer than anything it has answered.  `budget`
-    caps the precision denominator reached while separating the
-    operands of a difference; when it runs out, PrecisionBudgetExhausted
-    propagates.
+    when a request is finer than anything it has answered.  It never
+    raises PrecisionBudgetExhausted: a difference searched for the
+    separation of its operands when it was built.
     """
     if n < 1:
         raise ValueError(f"precision denominator must be >= 1, got {n}")
@@ -595,9 +592,7 @@ def bracket(a: Cut, n: int, budget: int | None = None) -> Bracket:
     # so that nodes asked once never pay for it
     if n <= asked or best is not None and n <= _reach(best):
         return best
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    result = a._fresh(n, budget)
+    result = a._fresh(n)
     if a._keeps_best:
         with _STORE:
             # `best` was too wide for n and `result` is not; if another
@@ -730,7 +725,7 @@ def _clamp(fine: Bracket, coarse: Bracket) -> Bracket:
     return Bracket(lo, hi)
 
 
-def ratio_refine(a: Cut, m: int, budget: int | None = None) -> Bracket:
+def ratio_refine(a: Cut, m: int) -> Bracket:
     """A bracket whose endpoints agree to a relative factor (m-1)/m.
 
     Any member x1 bounds the value from below, so width 1/h with
@@ -739,12 +734,12 @@ def ratio_refine(a: Cut, m: int, budget: int | None = None) -> Bracket:
     """
     if m < 2:
         raise ValueError(f"relative refinement needs m >= 2, got {m}")
-    x1 = bracket(a, 1, budget).lo
+    x1 = bracket(a, 1).lo
     h = archimedean_bound(PosRational(m * x1.den, x1.num))
-    return bracket(a, h, budget)
+    return bracket(a, h)
 
 
-def compare(a: Cut, b: Cut, n: int, budget: int | None = None) -> Comparison:
+def compare(a: Cut, b: Cut, n: int) -> Comparison:
     """Order certificate at precision 1/n, honest about ties.
 
     LESS and GREATER are certificates: a non-member of one side sits at
@@ -753,8 +748,8 @@ def compare(a: Cut, b: Cut, n: int, budget: int | None = None) -> Comparison:
     brackets of width 1/n could not tell the values apart (they then
     differ by at most 2/n).
     """
-    ba = bracket(a, n, budget)
-    bb = bracket(b, n, budget)
+    ba = bracket(a, n)
+    bb = bracket(b, n)
     if ba.hi <= bb.lo:
         return Comparison.LESS
     if bb.hi <= ba.lo:

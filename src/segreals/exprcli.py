@@ -50,6 +50,8 @@ from .real import Real, ZeroAtPrecision
 CONFIG_FILE = "reals.toml"
 ENV_BUDGET = "REALS_BUDGET"
 DEFAULT_DIGITS = 10
+# Most digits `eval` prints: it works at width 10^-(digits + 2), so more is more work
+MAX_DIGITS = 200_000
 DEFAULT_COMPARE_PRECISION = 10 ** 6
 # Deepest nesting of parentheses and unary minus signs the parser accepts.
 # Parsing, evaluating and rendering keep explicit stacks, but `cut.bracket`
@@ -410,12 +412,12 @@ def _load_config() -> dict:
 
 
 def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
-             default: int | None = None) -> int | None:
+             default: int | None = None, most: int | None = None) -> int | None:
     """--key, else $env (when given), else `key` in reals.toml, else default.
 
-    A value below 1 leaves no precision to work at, so it is rejected
-    here, naming where it came from, before anything is computed from it;
-    so is an environment value that is not an integer.
+    A value below 1 leaves no precision to work at, and one above `most`
+    too much work, so either is rejected here, naming where it came from,
+    before anything is computed from it; so is a non-integer $env value.
     """
     value, source = flag, f"--{key}"
     env_value = os.environ.get(env) if env is not None else None
@@ -426,8 +428,9 @@ def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
             raise ValueError(f"{env} must be an integer, got {env_value!r}") from None
     if value is None:
         value, source = config.get(key, default), f"{key} in {CONFIG_FILE}"
-    if value is not None and value < 1:
-        raise ValueError(f"{source} must be at least 1, got {value}")
+    if value is not None and (value < 1 or most is not None and value > most):
+        bound = "at least 1" if value < 1 else f"at most {most}"
+        raise ValueError(f"{source} must be {bound}, got {value}")
     return value
 
 
@@ -452,6 +455,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     cp.add_argument("expression")
     cp.add_argument("other")
     cp.add_argument("--precision", type=_parse_width, metavar="1/N",
+                    default=DEFAULT_COMPARE_PRECISION,
                     help="certification width (default 1/1000000)")
     cp.add_argument("--budget", type=int, metavar="B",
                     help="cap on the precision denominator while separating cuts")
@@ -487,17 +491,17 @@ def cli_main(argv: list[str] | None = None) -> int:
             if args.interval is not None:
                 n = args.interval
                 value = evaluate(expr, n, budget)
-                print(approx.rational_interval(value, n, budget))
+                print(approx.rational_interval(value, n))
             else:
-                digits = _resolve("digits", args.digits, config, default=DEFAULT_DIGITS)
+                digits = _resolve("digits", args.digits, config, default=DEFAULT_DIGITS,
+                                  most=MAX_DIGITS)
                 value = evaluate(expr, 10 ** (digits + 2), budget)
-                print(approx.decimal(value, digits, budget))
+                print(approx.decimal(value, digits))
         else:
-            n = args.precision if args.precision is not None \
-                else DEFAULT_COMPARE_PRECISION
+            n = args.precision
             left = evaluate(parse(args.expression), n, budget)
             right = evaluate(parse(args.other), n, budget)
-            print(real.less_than(left, right, n, budget).value)
+            print(real.less_than(left, right, n).value)
         return 0
     except (ParseError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -191,13 +191,13 @@ def mul(x: Real, y: Real) -> Real:
                 cut.add(cut.mul(x.pos, y.neg), cut.mul(x.neg, y.pos)))
 
 
-def sign(x: Real, n: int, budget: int | None = None) -> SignVerdict:
+def sign(x: Real, n: int) -> SignVerdict:
     """Sign certificate at precision 1/n.
 
     Zero is never certified: a verdict of IndistinguishableFromZero
     says only that |value| <= 2/n, which is all brackets can see.
     """
-    verdict = cut.compare(x.pos, x.neg, n, budget)
+    verdict = cut.compare(x.pos, x.neg, n)
     if verdict is Comparison.GREATER:
         return Positive()
     if verdict is Comparison.LESS:
@@ -205,27 +205,28 @@ def sign(x: Real, n: int, budget: int | None = None) -> SignVerdict:
     return IndistinguishableFromZero(n)
 
 
-def less_than(x: Real, y: Real, n: int, budget: int | None = None) -> Comparison:
+def less_than(x: Real, y: Real, n: int) -> Comparison:
     """Order certificate: x < y iff pos_x + neg_y sits below neg_x + pos_y."""
-    return cut.compare(cut.add(x.pos, y.neg), cut.add(x.neg, y.pos), n, budget)
+    return cut.compare(cut.add(x.pos, y.neg), cut.add(x.neg, y.pos), n)
 
 
 def canonicalize(x: Real, n: int, budget: int | None = None) -> CanonicalForm:
     """Resolve the pair into a signed magnitude, when a sign is certifiable.
 
     A certified sign turns the pair into one positive cut: the component
-    gap, recovered by cut.difference.  ZeroForm appears only when the
-    two components are literally the same node, the one situation where
-    zero is decidable; every other unresolved case stays Indeterminate,
-    which is a statement about the precision, not about the value.
+    gap, recovered by cut.difference, whose search for the separation
+    spends the budget.  ZeroForm appears only when the two components
+    are literally the same node, the one situation where zero is
+    decidable; every other unresolved case stays Indeterminate, which
+    is a statement about the precision, not about the value.
     """
     if x.pos is x.neg:
         return ZeroForm()
-    verdict = sign(x, n, budget)
+    verdict = sign(x, n)
     if isinstance(verdict, Positive):
-        return PositiveForm(cut.difference(x.neg, x.pos))
+        return PositiveForm(cut.difference(x.neg, x.pos, budget))
     if isinstance(verdict, Negative):
-        return NegativeForm(cut.difference(x.pos, x.neg))
+        return NegativeForm(cut.difference(x.pos, x.neg, budget))
     return Indeterminate(n)
 
 
@@ -235,14 +236,14 @@ def inv(x: Real, n: int, budget: int | None = None) -> Real:
     The canonical form [(S_1 + C, S_1)] of a certified positive inverts
     to [(C^ + S_1, S_1)] with C^ the reciprocal cut of the magnitude;
     the negative case mirrors the components.  The result knows its
-    sign, and C^ is its magnitude; building C^ brackets C once, within
-    the same budget.
+    sign, and C^ is its magnitude.  The budget is spent only when
+    `canonicalize` builds the difference C, not by building C^.
     """
     form = canonicalize(x, n, budget)
     if isinstance(form, PositiveForm):
-        return signed(cut.inverse(form.magnitude, budget))
+        return signed(cut.inverse(form.magnitude))
     if isinstance(form, NegativeForm):
-        return signed(cut.inverse(form.magnitude, budget), negative=True)
+        return signed(cut.inverse(form.magnitude), negative=True)
     if isinstance(form, ZeroForm):
         raise ZeroAtPrecision(n, "the value is exactly zero and has no inverse")
     raise ZeroAtPrecision(n)

@@ -370,28 +370,41 @@ class TestCompositeBrackets:
     def test_difference_of_equal_values_exhausts_budget(self):
         a = s_r(q(2))
         with pytest.raises(PrecisionBudgetExhausted):
-            bracket(difference(a, s_r(q(2))), 10, budget=2 ** 10)
+            difference(a, s_r(q(2)), budget=2 ** 10)
 
     def test_difference_recovers_after_budget_raise(self):
-        # a failed search must not poison the node: retrying with enough
-        # budget succeeds
-        d = difference(s_r(q(1)), s_r(q(1, 1) + q(1, 64)))
+        # a failed search leaves nothing behind: building the difference
+        # again with enough budget succeeds
+        lower, upper = s_r(q(1)), s_r(q(1, 1) + q(1, 64))
         with pytest.raises(PrecisionBudgetExhausted):
-            bracket(d, 10, budget=2)
-        assert straddles(bracket(d, 10), Fraction(1, 64))
+            difference(lower, upper, budget=2)
+        assert straddles(bracket(difference(lower, upper), 10), Fraction(1, 64))
 
     def test_difference_separating_late_serves_any_request_order(self):
         # the operands are 1/64 apart, so no bracket separates them at
         # t = 1; the upper one is a cached composite
         lower = s_r(q(1))
         upper = add(s_r(q(1, 2)), s_r(q(1, 2) + q(1, 64)))
-        d = difference(lower, upper)
         with pytest.raises(PrecisionBudgetExhausted):
-            bracket(d, 10, budget=1)
+            difference(lower, upper, budget=1)
+        d = difference(lower, upper)
         for n in (10, 10 ** 6, 10 ** 3):
             b = bracket(d, n)
             assert straddles(b, Fraction(1, 64))
             assert fr(b.width) <= Fraction(1, n)
+
+    @pytest.mark.parametrize("gap", [q(1, 64), q(1, 10 ** 5)])
+    def test_fresh_difference_asks_each_operand_once(self, asked, gap):
+        # the separation was found when the difference was built, at
+        # width 1/t, so a fresh bracket asks each operand once, at
+        # max(2n, t): below 2n for the first gap, above it for the second
+        lower, upper = s_r(q(1)), s_r(q(1) + gap)
+        d = difference(lower, upper)
+        cut_module, _, requests = asked
+        requests.clear()
+        cut_module.bracket(d, 1000)
+        m = max(2000, d.t)
+        assert requests == [(d, 1000), (lower, m), (upper, m)]
 
     @given(st.lists(small_rationals, min_size=1, max_size=5), precisions)
     @settings(max_examples=50, deadline=None)
@@ -548,9 +561,9 @@ def counted(monkeypatch):
     brackets, tests = Counter(), Counter()
     plain_bracket, plain_member = cut_module.bracket, cut_module.membership_leaf
 
-    def counting_bracket(a, n, budget=None):
+    def counting_bracket(a, n):
         brackets[type(a).__name__] += 1
-        return plain_bracket(a, n, budget)
+        return plain_bracket(a, n)
 
     def counting_member(a, x):
         tests[type(a).__name__] += 1
@@ -722,9 +735,9 @@ def asked(counted, monkeypatch):
     requests = []
     counting = cut_module.bracket
 
-    def recording(a, n, budget=None):
+    def recording(a, n):
         requests.append((a, n))
-        return counting(a, n, budget)
+        return counting(a, n)
 
     monkeypatch.setattr(cut_module, "bracket", recording)
     return cut_module, brackets, requests
@@ -797,9 +810,9 @@ class TestFlatSums:
         cut_module, brackets, _ = counted
         counting = cut_module.bracket
 
-        def bounded(a, n, budget=None):
+        def bounded(a, n):
             assert sum(brackets.values()) < 2 * depth ** 2, "more calls than depth^2"
-            return counting(a, n, budget)
+            return counting(a, n)
 
         monkeypatch.setattr(cut_module, "bracket", bounded)
         x = s_r(q(1))
@@ -902,8 +915,8 @@ class TestOutwardRounding:
         limit = 20 * (levels + n.bit_length())
         counting = cut_module.bracket
 
-        def bounded(a, m, budget=None):
-            br = counting(a, m, budget)
+        def bounded(a, m):
+            br = counting(a, m)
             bits = max(x.bit_length() for x in (br.lo.num, br.lo.den, br.hi.num, br.hi.den))
             assert bits <= limit, f"{type(a).__name__} endpoint of {bits} bits"
             return br
@@ -1028,12 +1041,17 @@ class TestCeilings:
         assert [n for c, n in requests if n == 1 and any(c is b for b in below)] == []
         assert any(c is inv.operand for c, _ in requests)
 
-    def test_inverse_brackets_its_operand_when_built(self):
+    def test_inverse_brackets_its_operand_when_built(self, asked):
         # two equal values never separate, so the budget runs out while
-        # the inverse is built, before anything asks it for a bracket
-        zero = difference(s_r(q(2)), s_r(q(2)))
+        # their difference is built, before an inverse of it can be
         with pytest.raises(PrecisionBudgetExhausted):
-            inverse(zero, budget=2 ** 10)
+            inverse(difference(s_r(q(2)), s_r(q(2)), budget=2 ** 10))
+        # an inverse of a difference that separates asks it once, at n = 1
+        d = difference(s_r(q(1)), s_r(q(2)))
+        _, _, requests = asked
+        requests.clear()
+        inverse(d)
+        assert [r for r in requests if r[0] is d] == [(d, 1)]
 
     @pytest.mark.parametrize("levels, before", [(30, 4582), (60, 14812)])
     def test_nested_inverses_cost_no_more(self, counted, levels, before):

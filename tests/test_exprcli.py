@@ -25,6 +25,7 @@ from segreals import (
     unparse,
 )
 from segreals.exprcli import (
+    MAX_DIGITS,
     MAX_NESTING,
     MAX_ROOT_DEGREE,
     Add,
@@ -769,6 +770,12 @@ class TestCli:
         assert code == 2 and out == ""
         assert "--budget" in err and value in err
 
+    @pytest.mark.parametrize("value", [MAX_DIGITS + 1, 999999999999])
+    def test_digits_flag_above_the_cap(self, value):
+        # rejected before 10^(digits + 2) is formed, so this ends at once
+        assert run_cli(["eval", "1", "--digits", str(value)]) == \
+            (2, "", f"error: --digits must be at most {MAX_DIGITS}, got {value}\n")
+
     def test_unknown_flag_exit(self):
         code, out, err = run_cli(["eval", "2", "--frobnicate"])
         assert code == 2 and out == ""
@@ -897,6 +904,12 @@ class TestCliConfig:
             (2, "", "error: digits in reals.toml must be at least 1, got 0\n")
         # the file's digits are not used by --interval, so they are not checked
         assert run_cli(["eval", "1/3", "--interval", "1/2"])[0] == 0
+
+    def test_config_digits_above_the_cap(self, tmp_path, monkeypatch):
+        (tmp_path / "reals.toml").write_text(f"digits = {MAX_DIGITS + 1}\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["eval", "1/3"]) == (2, "", "error: digits in reals.toml "
+                                           f"must be at most {MAX_DIGITS}, got {MAX_DIGITS + 1}\n")
 
     def test_undecodable_config(self, tmp_path, monkeypatch):
         (tmp_path / "reals.toml").write_bytes(b"\xff\xfe")

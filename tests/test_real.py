@@ -15,6 +15,7 @@ from segreals import (
     PosRational,
     Positive,
     PositiveForm,
+    PrecisionBudgetExhausted,
     Real,
     ZeroAtPrecision,
     ZeroForm,
@@ -184,6 +185,14 @@ class TestCanonicalize:
         x = from_pair(s_r(q(2)), s_r(q(2)))
         assert canonicalize(x, n) == Indeterminate(n)
 
+    def test_budget_is_spent_when_the_difference_is_built(self):
+        # the sign is certified at 10^6, but the components, 1 and 65/64,
+        # are not separated by brackets of width 1, which is all budget 1
+        # allows the magnitude's separation search
+        with pytest.raises(PrecisionBudgetExhausted):
+            canonicalize(g_embed(Fraction(1, 64)), 10 ** 6, budget=1)
+        assert isinstance(canonicalize(g_embed(Fraction(1, 64)), 10 ** 6), PositiveForm)
+
 
 class TestInv:
     def test_inverse_of_two_is_half(self):
@@ -349,9 +358,9 @@ class TestSignAwareMul:
         import segreals.cut as cut_module
         calls, plain = [0], cut_module.bracket
 
-        def counting(a, n, budget=None):
+        def counting(a, n):
             calls[0] += 1
-            return plain(a, n, budget)
+            return plain(a, n)
 
         monkeypatch.setattr(cut_module, "bracket", counting)
         levels = 30
