@@ -9,13 +9,9 @@ precision it was asked at and never claims more than the brackets show.
 
 from .qpos import (
     ONE,
-    TWO,
     NonPositiveError,
     NotGreaterError,
-    NotLessError,
     PosRational,
-    archimedean_bound,
-    mediant,
 )
 from .cut import (
     DEFAULT_BUDGET,
@@ -34,11 +30,9 @@ from .cut import (
     membership_leaf,
     next_member_above,
     oracle_cut,
-    ratio_refine,
     root_cut,
     s_r,
     sup_finite,
-    to_sexpr,
 )
 from .real import (
     CanonicalForm,
@@ -58,7 +52,6 @@ from .real import (
     inv,
     less_than,
     sign,
-    unity,
     zero,
 )
 from .embed import SignedRational, f_embed, g_embed, phi

@@ -76,7 +76,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .qpos import ONE, PosRational, archimedean_bound, ceil_int, halve
+from .qpos import ONE, PosRational, ceil_int, halve
 
 # Cap on the precision denominator of `difference`'s search for a separation:
 # past it, it raises instead of looping forever on a pair of equal values.
@@ -725,20 +725,6 @@ def _clamp(fine: Bracket, coarse: Bracket) -> Bracket:
     return Bracket(lo, hi)
 
 
-def ratio_refine(a: Cut, m: int) -> Bracket:
-    """A bracket whose endpoints agree to a relative factor (m-1)/m.
-
-    Any member x1 bounds the value from below, so width 1/h with
-    h > m/x1 forces lo/hi > 1 - 1/(h*hi) > 1 - 1/m.  Useful when the
-    magnitude of the value is unknown but relative accuracy is wanted.
-    """
-    if m < 2:
-        raise ValueError(f"relative refinement needs m >= 2, got {m}")
-    x1 = bracket(a, 1).lo
-    h = archimedean_bound(PosRational(m * x1.den, x1.num))
-    return bracket(a, h)
-
-
 def compare(a: Cut, b: Cut, n: int) -> Comparison:
     """Order certificate at precision 1/n, honest about ties.
 
@@ -756,7 +742,3 @@ def compare(a: Cut, b: Cut, n: int) -> Comparison:
         return Comparison.GREATER
     return Comparison.OVERLAP
 
-
-def to_sexpr(a: Cut) -> str:
-    """A compact s-expression rendering of the cut's structure."""
-    return repr(a)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class NonPositiveError(ValueError):
@@ -19,10 +18,6 @@ class NonPositiveError(ValueError):
 
 class NotGreaterError(ValueError):
     """Strict subtraction a - b was requested with a <= b."""
-
-
-class NotLessError(ValueError):
-    """An operation requiring a < b was given a >= b."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,9 +45,6 @@ class PosRational:
 
     def __repr__(self) -> str:
         return f"PosRational({self.num}, {self.den})"
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     # arithmetic, all exact on cross-multiplied ints
 
@@ -115,28 +107,6 @@ def int_str(v: int) -> str:
 
 
 ONE = PosRational(1)
-TWO = PosRational(2)
-
-
-def mediant(a: PosRational, b: PosRational) -> PosRational:
-    """The mediant of a < b, computed on the stored reduced pairs.
-
-    Adding numerators and denominators of a < b always lands strictly
-    between the two, which makes this the cheapest way to manufacture a
-    rational inside a known gap.
-    """
-    if not a < b:
-        raise NotLessError(f"mediant needs {a} < {b}")
-    return PosRational(a.num + b.num, a.den + b.den)
-
-
-def archimedean_bound(r: PosRational) -> int:
-    """A positive integer strictly greater than r.
-
-    num + 1 works for any reduced num/den with den >= 1; no search and
-    no division needed.
-    """
-    return r.num + 1
 
 
 def ceil_int(r: PosRational) -> int:

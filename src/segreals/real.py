@@ -156,10 +156,6 @@ def zero() -> Real:
     return Real(S_ONE, S_ONE)
 
 
-def unity() -> Real:
-    return Real(cut.add(S_ONE, S_ONE), S_ONE)
-
-
 def add(x: Real, y: Real) -> Real:
     return Real(cut.add(x.pos, y.pos), cut.add(x.neg, y.neg))
 

@@ -14,7 +14,17 @@ import math
 import random
 from fractions import Fraction
 
-from segreals import Bracket, Cut, PosRational, cli_main, oracle_cut, root_cut, s_r
+from segreals import (
+    Bracket,
+    Cut,
+    PosRational,
+    Real,
+    bracket,
+    cli_main,
+    oracle_cut,
+    root_cut,
+    s_r,
+)
 from segreals.approx import SignedInterval
 from segreals.cut import (
     Difference,
@@ -24,9 +34,10 @@ from segreals.cut import (
     RationalCut,
     RootCut,
     Sum,
+    add,
     membership_leaf,
 )
-from segreals.qpos import archimedean_bound
+from segreals.real import S_ONE
 
 
 def q(num: int, den: int = 1) -> PosRational:
@@ -35,7 +46,7 @@ def q(num: int, den: int = 1) -> PosRational:
 
 def fr(x) -> Fraction:
     """Exact value of a PosRational, or of a Fraction itself, as a Fraction."""
-    return x if isinstance(x, Fraction) else x.as_fraction()
+    return x if isinstance(x, Fraction) else Fraction(x.num, x.den)
 
 
 def brackets_overlap(a: Bracket, b: Bracket) -> bool:
@@ -47,6 +58,54 @@ def compare(a: PosRational, b: PosRational) -> int:
     lhs = a.num * b.den
     rhs = b.num * a.den
     return (lhs > rhs) - (lhs < rhs)
+
+
+class NotLessError(ValueError):
+    """An operation requiring a < b was given a >= b."""
+
+
+def mediant(a: PosRational, b: PosRational) -> PosRational:
+    """The mediant of a < b, computed on the stored reduced pairs.
+
+    Adding numerators and denominators of a < b always lands strictly
+    between the two, which makes this the cheapest way to manufacture a
+    rational inside a known gap.
+    """
+    if not a < b:
+        raise NotLessError(f"mediant needs {a} < {b}")
+    return PosRational(a.num + b.num, a.den + b.den)
+
+
+def archimedean_bound(r: PosRational) -> int:
+    """A positive integer strictly greater than r.
+
+    num + 1 works for any reduced num/den with den >= 1; no search and
+    no division needed.
+    """
+    return r.num + 1
+
+
+def ratio_refine(a: Cut, m: int) -> Bracket:
+    """A bracket whose endpoints agree to a relative factor (m-1)/m.
+
+    Any member x1 bounds the value from below, so width 1/h with
+    h > m/x1 forces lo/hi > 1 - 1/(h*hi) > 1 - 1/m.  Useful when the
+    magnitude of the value is unknown but relative accuracy is wanted.
+    """
+    if m < 2:
+        raise ValueError(f"relative refinement needs m >= 2, got {m}")
+    x1 = bracket(a, 1).lo
+    h = archimedean_bound(PosRational(m * x1.den, x1.num))
+    return bracket(a, h)
+
+
+def to_sexpr(a: Cut) -> str:
+    """A compact s-expression rendering of the cut's structure."""
+    return repr(a)
+
+
+def unity() -> Real:
+    return Real(add(S_ONE, S_ONE), S_ONE)
 
 
 def straddles(b: Bracket, value: Fraction) -> bool:

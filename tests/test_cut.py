@@ -32,12 +32,10 @@ from segreals import (
     membership_leaf,
     next_member_above,
     oracle_cut,
-    ratio_refine,
     real,
     root_cut,
     s_r,
     sup_finite,
-    to_sexpr,
 )
 from segreals.cut import (
     Inverse,
@@ -59,9 +57,11 @@ from support import (
     fr,
     leaf_member_oracle,
     q,
+    ratio_refine,
     straddles,
     surd_sign,
     surd_values,
+    to_sexpr,
 )
 
 small_rationals = st.builds(PosRational, st.integers(1, 40), st.integers(1, 40))

@@ -744,6 +744,14 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "recursion" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_too_deep_product_chain_prints_one_line(self, command):
+        # 1 000 factors take about 2 000 frames of `cut.bracket`, past the
+        # default recursion limit, which stays as it is
+        chain = "*".join(["1"] * 1000)
+        argv = ["eval", chain] if command == "eval" else ["compare", chain, "1"]
+        assert run_cli(argv) == (2, "", "error: expression is too deep to evaluate\n")
+
     @pytest.mark.parametrize("levels, value", [(83, "0.33333"), (MAX_NESTING, "3.00000")])
     def test_nested_inverse_up_to_the_nesting_limit(self, levels, value):
         # each level is one product of two reals of known sign, inverted,

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from segreals import (
-    NonPositiveError,
-    NotGreaterError,
-    NotLessError,
-    PosRational,
-    archimedean_bound,
-    mediant,
-)
+from segreals import NonPositiveError, NotGreaterError, PosRational
 from segreals.qpos import ceil_int, halve, int_str
 
-from support import compare, fr, long_int, q
+from support import (
+    NotLessError,
+    archimedean_bound,
+    compare,
+    fr,
+    long_int,
+    mediant,
+    q,
+)
 
 rationals = st.builds(PosRational, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
 

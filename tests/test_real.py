@@ -32,13 +32,20 @@ from segreals import (
     root_cut,
     s_r,
     sign,
-    unity,
     zero,
 )
 from segreals.cut import Product
 from segreals.real import add, mul, neg, sub
 
-from support import fr, interval_contains, q, straddles, surd_sign, surd_values
+from support import (
+    fr,
+    interval_contains,
+    q,
+    straddles,
+    surd_sign,
+    surd_values,
+    unity,
+)
 
 small_rationals = st.builds(PosRational, st.integers(1, 30), st.integers(1, 30))
 signed = st.one_of(
