@@ -23,8 +23,10 @@ owns the cache, and composite nodes recurse through it, never through
 each other's ``_fresh``.  A sum is the one exception to one bracket
 per node: a sum subtree is bracketed as one sum of its k terms, each
 asked at n*2^ceil(log2 k), without recursion, so a chain of sums costs
-neither a bracket nor a halving of the tolerance per level.  The cache
-is one slot per node, and a node's
+neither a bracket nor a halving of the tolerance per level.  A term that
+occurs several times in the subtree, like the S_1 leaf every signed term
+carries, is bracketed once and counted by its multiplicity; k still
+counts every occurrence.  The cache is one slot per node, and a node's
 only mutable state: the tightest bracket seen so far.  A bracket of
 width w answers every request with w*n <= 1, so a shared node asked at
 several precisions is computed once per refinement, not once per
@@ -318,6 +320,10 @@ class Sum(Cut):
     for width 1/(n*2^j), with 2^j the least power of two >= k, so the k
     widths add up to at most 1/n.  A two-term sum asks each side at 2n,
     and no term is asked finer than about 2kn however deep the chain.
+    Each distinct term, by identity, is bracketed once and counted by its
+    multiplicity, where k counts every occurrence: a leaf's second
+    bracket at the same precision would be the same closed form, and a
+    composite's its stored one.
     """
 
     __slots__ = ("left", "right")
@@ -332,18 +338,22 @@ class Sum(Cut):
         # operands unless it holds a bracket already, or was opened before
         # in this pass; then it stays one term, refined through its own
         # cache, and a sum that doubles a shared one costs its depth, not
-        # 2^depth
-        terms, opened, stack = [], set(), [self.right, self.left]
+        # 2^depth; each term is counted by identity, in first-occurrence
+        # order, and bracketed once
+        counts, opened, stack = {}, set(), [self.right, self.left]
         while stack:
             c = stack.pop()
             if isinstance(c, Sum) and c._best[1] is None and id(c) not in opened:
                 opened.add(id(c))
                 stack += (c.right, c.left)
             else:
-                terms.append(c)
-        m = n << (len(terms) - 1).bit_length()
-        parts = [bracket(t, m) for t in terms]
-        return Bracket(_total([p.lo for p in parts]), _total([p.hi for p in parts]))
+                counts[c] = counts.get(c, 0) + 1
+        # the widths add up over all k occurrences, so k, not the number
+        # of distinct terms, sets m
+        m = n << (sum(counts.values()) - 1).bit_length()
+        parts = [(bracket(t, m), k) for t, k in counts.items()]
+        return Bracket(_total([(p.lo, k) for p, k in parts]),
+                       _total([(p.hi, k) for p, k in parts]))
 
     def __repr__(self) -> str:
         return f"(sum {self.left!r} {self.right!r})"
@@ -584,6 +594,8 @@ def bracket(a: Cut, n: int) -> Bracket:
     raises PrecisionBudgetExhausted: a difference searched for the
     separation of its operands when it was built.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"precision denominator must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"precision denominator must be >= 1, got {n}")
     asked, best = a._best
@@ -676,21 +688,22 @@ def _iroot(t: int, d: int) -> int:
         x = y
 
 
-def _total(points: list[PosRational]) -> PosRational:
-    """The exact sum of the points, added on integers and reduced once.
+def _total(points: list[tuple[PosRational, int]]) -> PosRational:
+    """The exact sum of the (point, multiplicity) pairs, added on integers
+    and reduced once: one step per distinct point, however often it occurs.
 
     The running denominator is the least common multiple of the points'
     denominators, which on the dyadic grids of leaf brackets stays near
     the largest of them, instead of their product.
     """
     num, den = 0, 1
-    for p in points:
+    for p, k in points:
         g = math.gcd(den, p.den)
         if g == p.den:
-            num += p.num * (den // g)
+            num += k * p.num * (den // g)
         else:
             f = p.den // g
-            num, den = num * f + p.num * (den // g), den * f
+            num, den = num * f + k * p.num * (den // g), den * f
     return PosRational(num, den)
 
 

@@ -139,7 +139,8 @@ def from_pair(pos: Cut, neg: Cut) -> Real:
 
 
 # S_1, the cut of the rationals below 1, which every pair built here
-# is shifted by.  A rational leaf keeps no state, so one node serves all.
+# is shifted by.  A rational leaf keeps no state, so one node serves all,
+# and a sum pass brackets it once however often it occurs as a term.
 S_ONE = cut.s_r(ONE)
 
 

@@ -354,6 +354,12 @@ CORPUS = [
      ("interval", Fraction(11, 4), Fraction(1, 100))),
     (["eval", "sqrt(2)", "--interval", "1/1000"], 0, "[46331/32768, 5795/4096]\n",
      ("interval", None, Fraction(1, 1000))),  # None: check lo^2 < 2 < hi^2
+    # signed roots and rationals in one sum: S_1 and the roots recur as
+    # terms, and each occurrence counts towards the tolerance split
+    (["eval", "1/2 - sqrt(2) + 3/4 - root(3, 5) + sqrt(7) - 2/3 + 5", "--interval",
+      "1/1000000"], 0, "[41110042189/8053063680, 1370334923/268435456]\n", None),
+    (["eval", "1/2 - sqrt(2) + 3/4 - root(3, 5) + sqrt(7) - 2/3 + 5", "--digits", "12"],
+     0, "5.104895135348\n", None),
     (["compare", "sqrt(2)", "3/2", "--precision", "1/100"], 0, "less\n", None),
     (["compare", "3/2", "sqrt(2)", "--precision", "1/100"], 0, "greater\n", None),
     (["compare", "sqrt(2)*sqrt(2)", "2", "--precision", "1/1000000"], 0,

@@ -58,6 +58,10 @@ class TestRationalInterval:
         with pytest.raises(ValueError):
             rational_interval(zero(), 0)
 
+    def test_rejects_non_integer_precision(self):
+        with pytest.raises(TypeError, match="must be an int"):
+            rational_interval(g_embed(1), 2.0)
+
 
 class TestSignedInterval:
     def test_ordering_enforced(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -223,6 +224,13 @@ class TestLeafBrackets:
             bracket(s_r(q(1)), 0)
         with pytest.raises(ValueError):
             bracket_stepwise(s_r(q(1)), 0)
+
+    @pytest.mark.parametrize("n", [1.5, Fraction(7, 2), "3"], ids=["float", "fraction", "str"])
+    @pytest.mark.parametrize("node", ["leaf", "sum"])
+    def test_rejects_non_integer_precision(self, node, n):
+        a = s_r(q(1, 3)) if node == "leaf" else add(s_r(q(1, 3)), root_cut(2, q(2)))
+        with pytest.raises(TypeError, match=re.escape(f"must be an int, got {n!r}")):
+            bracket(a, n)
 
     def test_sqrt2_certified_exactly(self):
         b = bracket(root_cut(2, q(2)), 10 ** 6)
@@ -784,6 +792,29 @@ class TestFlatSums:
         assert requests[0] == (top, 1000)
         assert [t for t, _ in requests[1:]] == terms
         assert {m for _, m in requests[1:]} == {1000 * scale}
+
+    def test_a_pass_asks_each_distinct_term_once(self, asked):
+        # one S_1 node, one root and one product recur among distinct leaves:
+        # each distinct node is asked once, in first-occurrence order, at
+        # n*2^ceil(log2 k) with k counting every occurrence (11, so 16n)
+        cut_module, brackets, requests = asked
+        one, root = s_r(q(1)), root_cut(2, q(2))
+        prod = mul(root_cut(2, q(3)), s_r(q(5, 3)))
+        a, b, c = s_r(q(1, 2)), root_cut(3, q(7)), s_r(q(9, 4))
+        terms = [one, a, root, one, prod, b, root, one, prod, c, one]
+        top = sum_tree(terms, "left")
+        br = cut_module.bracket(top, 1000)
+        distinct = [one, a, root, prod, b, c]
+        assert requests[0] == (top, 1000)
+        assert [(t, m) for t, m in requests[1:]
+                if t is not prod.left and t is not prod.right] == \
+            [(t, 16000) for t in distinct]
+        assert brackets["Sum"] == 1
+        # the exact total over every occurrence, each term's bracket at 16n
+        # read again: closed form on the leaves, the stored one on the product
+        parts = [cut_module.bracket(t, 16000) for t in terms]
+        assert fr(br.lo) == sum(fr(p.lo) for p in parts)
+        assert fr(br.hi) == sum(fr(p.hi) for p in parts)
 
     @pytest.mark.parametrize("prebracket", [False, True])
     def test_nested_sum_with_a_bracket_is_one_term(self, asked, prebracket):
