@@ -44,7 +44,6 @@ from .real import (
     PositiveForm,
     Real,
     SignVerdict,
-    SignedReal,
     ZeroAtPrecision,
     ZeroForm,
     canonicalize,

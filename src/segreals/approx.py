@@ -55,8 +55,7 @@ def rational_interval(x: Real, n: int) -> SignedInterval:
     Each component is bracketed at 2n, so the two half-widths add up to
     the requested tolerance.
     """
-    if n < 1:
-        raise ValueError(f"precision denominator must be >= 1, got {n}")
+    cut.check_precision(n)
     bp = cut.bracket(x.pos, 2 * n)
     bm = cut.bracket(x.neg, 2 * n)
     return SignedInterval(_minus(bp.lo, bm.hi), _minus(bp.hi, bm.lo))
@@ -71,8 +70,7 @@ def decimal(x: Real, digits: int) -> str:
     interval straddles zero (so not even the sign is certified), the
     result is the interval itself, endpoints rounded outward.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+    cut.check_precision(digits, "digits")
     iv = rational_interval(x, 10 ** (digits + 2))
     if not (iv.lo < 0 < iv.hi):
         a = _round_half_up(iv.lo, digits)

@@ -515,7 +515,9 @@ def root_cut(degree: int, radicand: PosRational) -> RootCut:
 
 
 def check_root_degree(degree: int) -> None:
-    """The one rule on root degrees: 2 <= degree <= MAX_ROOT_DEGREE."""
+    """The one rule on root degrees: an int, 2 <= degree <= MAX_ROOT_DEGREE."""
+    if not isinstance(degree, int):
+        raise TypeError(f"root degree must be an int, got {degree!r}")
     if not 2 <= degree <= MAX_ROOT_DEGREE:
         bound = "at least 2" if degree < 2 else f"at most {MAX_ROOT_DEGREE}"
         raise BadDegreeError(f"root degree must be {bound}, got {degree}")
@@ -577,6 +579,15 @@ def next_member_above(a: Cut, x: PosRational) -> PosRational:
 # bracketing
 
 
+def check_precision(n: int, name: str = "precision denominator") -> None:
+    """The one rule on precisions, checked on the value the caller passed:
+    an int, at least 1."""
+    if not isinstance(n, int):
+        raise TypeError(f"{name} must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def bracket(a: Cut, n: int) -> Bracket:
     """A certified enclosure of width at most 1/n.
 
@@ -594,10 +605,7 @@ def bracket(a: Cut, n: int) -> Bracket:
     raises PrecisionBudgetExhausted: a difference searched for the
     separation of its operands when it was built.
     """
-    if not isinstance(n, int):
-        raise TypeError(f"precision denominator must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"precision denominator must be >= 1, got {n}")
+    check_precision(n)
     asked, best = a._best
     # a bracket asked at `asked` serves every coarser request; a finer one
     # is served when its actual width allows, which is checked only then

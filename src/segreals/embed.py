@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import cut, real
 from .qpos import PosRational
 from .cut import Cut
-from .real import Real, SignedReal
+from .real import Real
 
 
 class SignedRational:
@@ -50,17 +50,14 @@ def f_embed(a: Cut) -> Real:
 def g_embed(q: Fraction | int) -> Real:
     """Any signed rational as a signed real built from rational cuts.
 
-    A magnitude m lands at (S_{m+1}, S_1) or its mirror, and carries
-    S_m as its magnitude, so a product with it scales by m instead of
-    by the components; zero knows no sign, and shares a single S_1 node
-    between the components so that downstream code can recognise it
-    syntactically.
+    A magnitude m lands at (S_{m+1}, S_1), negated by `real.neg` when q
+    is negative, and carries S_m as its magnitude, so a product with it
+    scales by m instead of by the components; zero knows no sign, and
+    shares a single S_1 node between the components so that downstream
+    code can recognise it syntactically.
     """
     if q == 0:
         return real.zero()
     num, den = abs(q.numerator), q.denominator
-    shifted = cut.s_r(PosRational(num + den, den))
-    magnitude = cut.s_r(PosRational(num, den))
-    if q > 0:
-        return SignedReal(shifted, real.S_ONE, magnitude, False)
-    return SignedReal(real.S_ONE, shifted, magnitude, True)
+    x = Real(cut.s_r(PosRational(num + den, den)), real.S_ONE, cut.s_r(PosRational(num, den)))
+    return real.neg(x) if q < 0 else x

@@ -4,17 +4,18 @@ A real is a pair (pos, neg) standing for the value of pos minus the
 value of neg.  Two pairs denote the same number exactly when cross sums
 agree, but that equality is never decided here; all observations go
 through brackets of the two components and carry their precision with
-them.  Addition is componentwise and negation swaps the components.
+them.  Addition is componentwise, and `neg` swaps the components: it is
+the one place a pair is mirrored.
 
 A real built as a literal, a root or an inverse also knows its sign
 from how it was built (an inverse from the certificate `inv` needs
-anyway): it is a `SignedReal`, which carries the positive cut C whose
-value is its magnitude, and is (C + S_1, S_1), or the mirror when
-negative.  Negation keeps what is
-known.  Multiplication uses what the factors know: two factors of known
-sign multiply their magnitudes in one product, one factor of known sign,
-magnitude C, scales the other's components as (C*c, C*d), and only when
-neither sign is known is the formal product of differences expanded:
+anyway): its `magnitude` is the positive cut C whose value is its
+absolute value, and it is (C + S_1, S_1), negated when `negative`.
+Negation keeps what is known.  Multiplication uses what the factors
+know: two factors of known sign multiply their magnitudes in one
+product, one factor of known sign, magnitude C, scales the other's
+components as (C*c, C*d), and only when neither sign is known is the
+formal product of differences expanded:
 
     (a - b) * (c - d)  =  (ac + bd) - (ad + bc)
 
@@ -59,9 +60,13 @@ class Negative:
 
 @dataclass(frozen=True)
 class IndistinguishableFromZero:
-    """Brackets at the given precision straddle zero; no sign certified."""
+    """Brackets at the given precision straddle zero: no sign is certified,
+    and no zero claimed.  Also named `Indeterminate`, as `canonicalize`'s answer."""
 
     precision: int
+
+
+Indeterminate = IndistinguishableFromZero
 
 
 SignVerdict = Positive | Negative | IndistinguishableFromZero
@@ -86,28 +91,22 @@ class ZeroForm:
     """Exactly zero, known syntactically (both components are one node)."""
 
 
-@dataclass(frozen=True)
-class Indeterminate:
-    """No sign certificate at the given precision; not a zero claim."""
-
-    precision: int
+CanonicalForm = PositiveForm | NegativeForm | ZeroForm | IndistinguishableFromZero
 
 
-CanonicalForm = PositiveForm | NegativeForm | ZeroForm | Indeterminate
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Real:
     """A formal difference of two cuts.  Identity-based equality only.
 
-    Its sign is not known: `magnitude` is None.  A `SignedReal` knows it.
+    A sign known from how it was built (see `signed`) is recorded once:
+    the value is the positive cut `magnitude`'s, negated when `negative`.
+    Otherwise `magnitude` is None and `negative` False.  Only `mul` reads them.
     """
 
     pos: Cut
     neg: Cut
-    # class attributes, not fields: a SignedReal makes them fields
-    magnitude = None
-    negative = False
+    magnitude: Cut | None = None
+    negative: bool = False
 
     def __add__(self, other: Real) -> Real:
         return add(self, other)
@@ -122,18 +121,6 @@ class Real:
         return neg(self)
 
 
-@dataclass(frozen=True, eq=False)
-class SignedReal(Real):
-    """A real whose sign is known from how it was built (see `signed`).
-
-    Its value is the value of the positive cut `magnitude`, or minus it
-    when `negative`.  Only `mul` reads them.
-    """
-
-    magnitude: Cut
-    negative: bool
-
-
 def from_pair(pos: Cut, neg: Cut) -> Real:
     return Real(pos, neg)
 
@@ -144,12 +131,10 @@ def from_pair(pos: Cut, neg: Cut) -> Real:
 S_ONE = cut.s_r(ONE)
 
 
-def signed(magnitude: Cut, negative: bool = False) -> SignedReal:
-    """The real of known sign (magnitude + S_1, S_1), or its mirror."""
-    shifted = cut.add(magnitude, S_ONE)
-    if negative:
-        return SignedReal(S_ONE, shifted, magnitude, True)
-    return SignedReal(shifted, S_ONE, magnitude, False)
+def signed(magnitude: Cut, negative: bool = False) -> Real:
+    """The real of known sign (magnitude + S_1, S_1), negated when `negative`."""
+    x = Real(cut.add(magnitude, S_ONE), S_ONE, magnitude)
+    return neg(x) if negative else x
 
 
 def zero() -> Real:
@@ -162,9 +147,8 @@ def add(x: Real, y: Real) -> Real:
 
 
 def neg(x: Real) -> Real:
-    if x.magnitude is None:
-        return Real(x.neg, x.pos)
-    return SignedReal(x.neg, x.pos, x.magnitude, not x.negative)
+    """The mirrored pair (neg, pos); a known sign flips with it."""
+    return Real(x.neg, x.pos, x.magnitude, x.magnitude is not None and not x.negative)
 
 
 def sub(x: Real, y: Real) -> Real:
@@ -182,8 +166,8 @@ def mul(x: Real, y: Real) -> Real:
     if y.magnitude is not None:
         x, y = y, x  # the factor of known sign goes first
     if x.magnitude is not None:
-        pos, neg = cut.mul(x.magnitude, y.pos), cut.mul(x.magnitude, y.neg)
-        return Real(neg, pos) if x.negative else Real(pos, neg)
+        scaled = Real(cut.mul(x.magnitude, y.pos), cut.mul(x.magnitude, y.neg))
+        return neg(scaled) if x.negative else scaled
     return Real(cut.add(cut.mul(x.pos, y.pos), cut.mul(x.neg, y.neg)),
                 cut.add(cut.mul(x.pos, y.neg), cut.mul(x.neg, y.pos)))
 
@@ -214,17 +198,24 @@ def canonicalize(x: Real, n: int, budget: int | None = None) -> CanonicalForm:
     gap, recovered by cut.difference, whose search for the separation
     spends the budget.  ZeroForm appears only when the two components
     are literally the same node, the one situation where zero is
-    decidable; every other unresolved case stays Indeterminate, which
-    is a statement about the precision, not about the value.
+    decidable; every other unresolved case is IndistinguishableFromZero,
+    which is a statement about the precision, not about the value.
     """
+    cut.check_precision(n)
     if x.pos is x.neg:
         return ZeroForm()
-    verdict = sign(x, n)
-    if isinstance(verdict, Positive):
-        return PositiveForm(cut.difference(x.neg, x.pos, budget))
-    if isinstance(verdict, Negative):
-        return NegativeForm(cut.difference(x.pos, x.neg, budget))
-    return Indeterminate(n)
+    verdict = cut.compare(x.pos, x.neg, n)
+    if verdict is Comparison.OVERLAP:
+        return IndistinguishableFromZero(n)
+    negative = verdict is Comparison.LESS
+    lower, upper = (x.pos, x.neg) if negative else (x.neg, x.pos)
+    try:
+        magnitude = cut.difference(lower, upper, budget)
+    except cut.PrecisionBudgetExhausted as exc:
+        raise cut.PrecisionBudgetExhausted(
+            f"the sign is certified at width 1/{int_str(n)}, but the precision budget "
+            "ran out before its magnitude separated from zero") from exc
+    return NegativeForm(magnitude) if negative else PositiveForm(magnitude)
 
 
 def inv(x: Real, n: int, budget: int | None = None) -> Real:
@@ -237,10 +228,8 @@ def inv(x: Real, n: int, budget: int | None = None) -> Real:
     `canonicalize` builds the difference C, not by building C^.
     """
     form = canonicalize(x, n, budget)
-    if isinstance(form, PositiveForm):
-        return signed(cut.inverse(form.magnitude))
-    if isinstance(form, NegativeForm):
-        return signed(cut.inverse(form.magnitude), negative=True)
     if isinstance(form, ZeroForm):
         raise ZeroAtPrecision(n, "the value is exactly zero and has no inverse")
-    raise ZeroAtPrecision(n)
+    if isinstance(form, IndistinguishableFromZero):
+        raise ZeroAtPrecision(n)
+    return signed(cut.inverse(form.magnitude), isinstance(form, NegativeForm))

@@ -1,6 +1,7 @@
 """Certified intervals and decimal rendering."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,10 @@ class TestRationalInterval:
         with pytest.raises(TypeError, match="must be an int"):
             rational_interval(g_embed(1), 2.0)
 
+    def test_non_integer_precision_is_named_as_passed(self):
+        with pytest.raises(TypeError, match=r"precision denominator must be an int, got 2\.0$"):
+            rational_interval(g_embed(1), 2.0)
+
 
 class TestSignedInterval:
     def test_ordering_enforced(self):
@@ -85,6 +90,15 @@ class TestSignedInterval:
 
 
 class TestDecimal:
+    @pytest.mark.parametrize("digits", [1.5, "3"], ids=["float", "str"])
+    def test_non_integer_digits_are_named_as_passed(self, digits):
+        with pytest.raises(TypeError, match=re.escape(f"digits must be an int, got {digits!r}")):
+            decimal(g_embed(1), digits)
+
+    def test_rejects_zero_digits(self):
+        with pytest.raises(ValueError, match="digits must be >= 1, got 0"):
+            decimal(g_embed(1), 0)
+
     @given(signed, st.sampled_from([1, 3, 6]))
     @settings(max_examples=60, deadline=None)
     def test_certified_strings_match_the_oracle(self, a, digits):

@@ -112,6 +112,12 @@ class TestMembership:
         with pytest.raises(BadDegreeError):
             root_cut(0, q(2))
 
+    @pytest.mark.parametrize("degree", [2.5, 2.0, "2"], ids=["float", "whole-float", "str"])
+    def test_root_degree_must_be_an_int(self, degree):
+        message = f"root degree must be an int, got {degree!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            root_cut(degree, q(2))
+
     def test_root_degree_capped(self):
         cap = exprcli.MAX_ROOT_DEGREE
         assert root_cut(cap, q(2)).degree == cap

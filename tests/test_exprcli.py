@@ -547,6 +547,10 @@ class TestEvaluate:
         with pytest.raises(TypeError, match="cannot evaluate str"):
             evaluate(Neg("1"), 10)
 
+    def test_precision_is_checked_before_a_divisor(self):
+        with pytest.raises(ValueError, match="precision denominator must be >= 1, got 0"):
+            evaluate(parse("1/0"), 0)
+
     @pytest.mark.parametrize("text,value", [
         ("2", Fraction(2)),
         ("1/3 + 1/6", Fraction(1, 2)),
@@ -666,6 +670,18 @@ class TestCli:
     def test_zero_divisor_exit(self):
         code, out, err = run_cli(["eval", "1/0", "--digits", "4"])
         assert code == 3 and out == "" and "zero" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "1/(1/18446744073709551616)", "--digits", "5"],
+        ["eval", "1/(1/3)", "--digits", "2", "--budget", "1"],
+    ], ids=["tiny-divisor", "budget-1"])
+    def test_certified_divisor_out_of_budget_says_so(self, argv):
+        # the divisor's sign is certified; only its magnitude's separation
+        # ran out of budget, so no hint that the values may be equal
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert "may be equal" not in err and "budget" in err
+        assert err.startswith("error: the sign is certified") and err.count("\n") == 1
 
     def test_budget_exhaustion_exit(self):
         code, out, err = run_cli(["eval", "1/(1/3)", "--digits", "2",

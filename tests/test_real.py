@@ -29,6 +29,7 @@ from segreals import (
     inv,
     less_than,
     rational_interval,
+    real,
     root_cut,
     s_r,
     sign,
@@ -192,6 +193,23 @@ class TestCanonicalize:
         x = from_pair(s_r(q(2)), s_r(q(2)))
         assert canonicalize(x, n) == Indeterminate(n)
 
+    @pytest.mark.parametrize("x", [zero(), g_embed(2)], ids=["syntactic-zero", "two"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_precision_is_checked_before_the_shortcut(self, x, n):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {n}"):
+            canonicalize(x, n)
+
+    def test_budget_message_says_the_sign_is_certified(self):
+        with pytest.raises(PrecisionBudgetExhausted) as exc:
+            canonicalize(g_embed(Fraction(1, 64)), 10 ** 6, budget=1)
+        message = str(exc.value)
+        assert message == ("the sign is certified at width 1/1000000, but the precision "
+                           "budget ran out before its magnitude separated from zero")
+        assert "may be equal" not in message
+        # the difference's own message stays, for library callers
+        assert isinstance(exc.value.__cause__, PrecisionBudgetExhausted)
+        assert "may be equal" in str(exc.value.__cause__)
+
     def test_budget_is_spent_when_the_difference_is_built(self):
         # the sign is certified at 10^6, but the components, 1 and 65/64,
         # are not separated by brackets of width 1, which is all budget 1
@@ -309,6 +327,51 @@ def _products(x: Real) -> int:
             stack += [getattr(c, k) for k in ("left", "right", "operand", "lower", "upper")
                       if hasattr(c, k)]
     return count
+
+
+def _sign_sources():
+    x = f_embed(root_cut(2, q(2)))
+    return {
+        "positive-literal": g_embed(Fraction(3, 4)),
+        "negative-literal": g_embed(Fraction(-5, 2)),
+        "root": x,
+        "inverse": inv(g_embed(-3), 10),
+        "known-sign-product": mul(x, g_embed(-2)),
+        "unsigned-sum": add(x, g_embed(Fraction(-1))),
+    }
+
+
+class TestSignRecord:
+    """A real records its sign once: `magnitude` and `negative`, mirrored by `neg`."""
+
+    @pytest.mark.parametrize("kind", list(_sign_sources()))
+    def test_double_negation_keeps_the_record(self, kind):
+        x = _sign_sources()[kind]
+        y = neg(neg(x))
+        assert y.pos is x.pos and y.neg is x.neg and y.magnitude is x.magnitude
+        assert y.negative is x.negative
+        assert neg(x).pos is x.neg and neg(x).neg is x.pos
+        assert neg(x).negative is (x.magnitude is not None and not x.negative)
+
+    def test_signed_negative_is_the_mirror(self):
+        c = root_cut(2, q(2))
+        x = real.signed(c, True)
+        assert x.pos is real.S_ONE and x.magnitude is c and x.negative
+        assert x.neg.left is c and x.neg.right is real.S_ONE
+        y = real.signed(c)
+        assert y.neg is real.S_ONE and not y.negative and y.pos.left is c
+
+    @pytest.mark.parametrize("r", [Fraction(1), Fraction(3, 4), Fraction(22, 7)])
+    def test_negative_literal_swaps_the_components(self, r):
+        x, y = g_embed(r), g_embed(-r)
+        assert x.neg is real.S_ONE and y.pos is real.S_ONE
+        assert y.neg.bound == x.pos.bound == PosRational(r.numerator + r.denominator,
+                                                         r.denominator)
+        assert y.magnitude.bound == x.magnitude.bound == PosRational(r.numerator, r.denominator)
+        assert not x.negative and y.negative
+
+    def test_indeterminate_is_indistinguishable_from_zero(self):
+        assert Indeterminate is IndistinguishableFromZero
 
 
 class TestSignAwareMul:
