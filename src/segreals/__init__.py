@@ -35,17 +35,13 @@ from .cut import (
     sup_finite,
 )
 from .real import (
-    CanonicalForm,
     IndistinguishableFromZero,
     Indeterminate,
     Negative,
-    NegativeForm,
     Positive,
-    PositiveForm,
     Real,
     SignVerdict,
     ZeroAtPrecision,
-    ZeroForm,
     canonicalize,
     from_pair,
     inv,

@@ -449,20 +449,24 @@ class Difference(Cut):
     value is below upper's, which is settled when the node is built:
     `ba` and `bb` are their brackets at the first width 1/t, t = 1, 2,
     4, ..., with ba.hi < bb.lo (PrecisionBudgetExhausted past the
-    budget).  A fresh bracket asks each operand once, at max(2n, t), and
-    clamps it against that pair, which keeps its lower end positive.
+    budget, which `check_precision` holds to an int of at least 1).  A
+    fresh bracket asks each operand once, at max(2n, t), and clamps it
+    against that pair, which keeps its lower end positive.
     """
 
     __slots__ = ("lower", "upper", "t", "ba", "bb")
 
     def __init__(self, lower: Cut, upper: Cut, budget: int | None = None) -> None:
+        if budget is None:
+            budget = DEFAULT_BUDGET
+        check_precision(budget, "precision budget")
         super().__init__(upper.ceiling)
         self.lower = lower
         self.upper = upper
         t = 1
         while (ba := bracket(lower, t)).hi >= (bb := bracket(upper, t)).lo:
             t *= 2
-            if t > (DEFAULT_BUDGET if budget is None else budget):
+            if t > budget:
                 raise PrecisionBudgetExhausted(
                     f"no separation between the operands down to width 1/{t // 2}; "
                     f"their values may be equal")

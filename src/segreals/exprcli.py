@@ -225,7 +225,10 @@ def _walk(e: Expr, verb: str, *args: Any) -> Any:
 
 
 def evaluate(e: Expr, n: int, budget: int | None = None) -> Real:
-    """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n."""
+    """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n.
+
+    n is checked first, whether or not the tree has a divisor."""
+    cut.check_precision(n)
     return _walk(e, "evaluate", n, budget)
 
 

@@ -23,7 +23,9 @@ So the components of a product of known signs grow as its value does,
 where the expansion multiplies them by the factors' component sums:
 (2*x) would have four times x's components and only twice its value.
 Sums and differences know no sign, and every observer reads the pair
-alone.
+alone.  A sign certified at a precision gives any pair its canonical
+pair: `canonicalize` returns signed(C, negative), C the gap between the
+components, and `inv` inverts that C.
 """
 
 from __future__ import annotations
@@ -70,28 +72,6 @@ Indeterminate = IndistinguishableFromZero
 
 
 SignVerdict = Positive | Negative | IndistinguishableFromZero
-
-
-@dataclass(frozen=True)
-class PositiveForm:
-    """Certified positive: value equals the magnitude cut's value."""
-
-    magnitude: Cut
-
-
-@dataclass(frozen=True)
-class NegativeForm:
-    """Certified negative: value equals minus the magnitude cut's value."""
-
-    magnitude: Cut
-
-
-@dataclass(frozen=True)
-class ZeroForm:
-    """Exactly zero, known syntactically (both components are one node)."""
-
-
-CanonicalForm = PositiveForm | NegativeForm | ZeroForm | IndistinguishableFromZero
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -191,19 +171,21 @@ def less_than(x: Real, y: Real, n: int) -> Comparison:
     return cut.compare(cut.add(x.pos, y.neg), cut.add(x.neg, y.pos), n)
 
 
-def canonicalize(x: Real, n: int, budget: int | None = None) -> CanonicalForm:
-    """Resolve the pair into a signed magnitude, when a sign is certifiable.
+def canonicalize(x: Real, n: int,
+                 budget: int | None = None) -> Real | IndistinguishableFromZero:
+    """The canonical pair of x, when a sign is certifiable at 1/n.
 
-    A certified sign turns the pair into one positive cut: the component
-    gap, recovered by cut.difference, whose search for the separation
-    spends the budget.  ZeroForm appears only when the two components
-    are literally the same node, the one situation where zero is
-    decidable; every other unresolved case is IndistinguishableFromZero,
-    which is a statement about the precision, not about the value.
+    A certified sign gives the pair signed(C, negative): C is the
+    component gap, recovered by cut.difference, whose search for the
+    separation spends the budget.  `zero()` is returned only when the two
+    components are literally the same node, the one situation where zero
+    is decidable, and it is the only answer whose `magnitude` is None;
+    every other unresolved case is IndistinguishableFromZero, which is a
+    statement about the precision, not about the value.
     """
     cut.check_precision(n)
     if x.pos is x.neg:
-        return ZeroForm()
+        return zero()
     verdict = cut.compare(x.pos, x.neg, n)
     if verdict is Comparison.OVERLAP:
         return IndistinguishableFromZero(n)
@@ -215,21 +197,21 @@ def canonicalize(x: Real, n: int, budget: int | None = None) -> CanonicalForm:
         raise cut.PrecisionBudgetExhausted(
             f"the sign is certified at width 1/{int_str(n)}, but the precision budget "
             "ran out before its magnitude separated from zero") from exc
-    return NegativeForm(magnitude) if negative else PositiveForm(magnitude)
+    return signed(magnitude, negative)
 
 
 def inv(x: Real, n: int, budget: int | None = None) -> Real:
     """Multiplicative inverse, guarded by a nonzero certificate at 1/n.
 
-    The canonical form [(S_1 + C, S_1)] of a certified positive inverts
-    to [(C^ + S_1, S_1)] with C^ the reciprocal cut of the magnitude;
-    the negative case mirrors the components.  The result knows its
-    sign, and C^ is its magnitude.  The budget is spent only when
+    The canonical pair (C + S_1, S_1) of a certified positive inverts to
+    (C^ + S_1, S_1) with C^ the reciprocal cut of its magnitude C; the
+    negative case mirrors the components.  The result knows its sign,
+    and C^ is its magnitude.  The budget is spent only when
     `canonicalize` builds the difference C, not by building C^.
     """
     form = canonicalize(x, n, budget)
-    if isinstance(form, ZeroForm):
-        raise ZeroAtPrecision(n, "the value is exactly zero and has no inverse")
     if isinstance(form, IndistinguishableFromZero):
         raise ZeroAtPrecision(n)
-    return signed(cut.inverse(form.magnitude), isinstance(form, NegativeForm))
+    if form.magnitude is None:
+        raise ZeroAtPrecision(n, "the value is exactly zero and has no inverse")
+    return signed(cut.inverse(form.magnitude), form.negative)

@@ -386,6 +386,15 @@ class TestCompositeBrackets:
         with pytest.raises(PrecisionBudgetExhausted):
             difference(a, s_r(q(2)), budget=2 ** 10)
 
+    @pytest.mark.parametrize("budget,error,message", [
+        (0, ValueError, "precision budget must be >= 1, got 0"),
+        ("8", TypeError, "precision budget must be an int, got '8'"),
+    ], ids=["zero", "str"])
+    def test_given_budget_follows_the_precision_rule(self, budget, error, message):
+        # 1 and 2 are separated at t = 1; the budget is refused before any search
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            difference(s_r(q(1)), s_r(q(2)), budget)
+
     def test_difference_recovers_after_budget_raise(self):
         # a failed search leaves nothing behind: building the difference
         # again with enough budget succeeds

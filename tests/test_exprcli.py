@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import time
@@ -550,6 +551,14 @@ class TestEvaluate:
     def test_precision_is_checked_before_a_divisor(self):
         with pytest.raises(ValueError, match="precision denominator must be >= 1, got 0"):
             evaluate(parse("1/0"), 0)
+
+    @pytest.mark.parametrize("text,n,error,message", [
+        ("1+1", 0, ValueError, "must be >= 1, got 0"),
+        ("sqrt(2)", 2.5, TypeError, "must be an int, got 2.5"),
+    ], ids=["zero", "float"])
+    def test_precision_is_checked_without_a_divisor(self, text, n, error, message):
+        with pytest.raises(error, match=f"^precision denominator {re.escape(message)}$"):
+            evaluate(parse(text), n)
 
     @pytest.mark.parametrize("text,value", [
         ("2", Fraction(2)),

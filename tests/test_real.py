@@ -1,5 +1,6 @@
-"""Signed reals: pair arithmetic, sign certificates, canonical forms."""
+"""Signed reals: pair arithmetic, sign certificates, canonical pairs."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,11 @@ from segreals import (
     IndistinguishableFromZero,
     Indeterminate,
     Negative,
-    NegativeForm,
     PosRational,
     Positive,
-    PositiveForm,
     PrecisionBudgetExhausted,
     Real,
     ZeroAtPrecision,
-    ZeroForm,
     approx,
     bracket,
     canonicalize,
@@ -35,7 +33,7 @@ from segreals import (
     sign,
     zero,
 )
-from segreals.cut import Product
+from segreals.cut import Product, Sum
 from segreals.real import add, mul, neg, sub
 
 from support import (
@@ -175,18 +173,20 @@ class TestLessThan:
 class TestCanonicalize:
     def test_positive_form_carries_the_gap(self):
         form = canonicalize(from_pair(s_r(q(3)), s_r(q(1))), 10)
-        assert isinstance(form, PositiveForm)
+        assert form.magnitude is not None and not form.negative
         assert straddles(bracket(form.magnitude, 1000), Fraction(2))
 
     def test_negative_form_carries_the_gap(self):
         form = canonicalize(from_pair(s_r(q(1)), s_r(q(3))), 10)
-        assert isinstance(form, NegativeForm)
+        assert form.negative
         assert straddles(bracket(form.magnitude, 1000), Fraction(2))
 
     def test_shared_node_is_syntactic_zero(self):
-        assert canonicalize(zero(), 10) == ZeroForm()
         a = s_r(q(2))
-        assert canonicalize(from_pair(a, a), 10) == ZeroForm()
+        for x in (zero(), from_pair(a, a)):
+            form = canonicalize(x, 10)
+            assert form.magnitude is None
+            assert form.pos is form.neg
 
     @pytest.mark.parametrize("n", [1, 10, 1000])
     def test_distinct_equal_components_stay_indeterminate(self, n):
@@ -216,7 +216,40 @@ class TestCanonicalize:
         # allows the magnitude's separation search
         with pytest.raises(PrecisionBudgetExhausted):
             canonicalize(g_embed(Fraction(1, 64)), 10 ** 6, budget=1)
-        assert isinstance(canonicalize(g_embed(Fraction(1, 64)), 10 ** 6), PositiveForm)
+        form = canonicalize(g_embed(Fraction(1, 64)), 10 ** 6)
+        assert form.magnitude is not None and not form.negative
+
+    @pytest.mark.parametrize("budget,error,message", [
+        (0, ValueError, "precision budget must be >= 1, got 0"),
+        ("8", TypeError, "precision budget must be an int, got '8'"),
+    ], ids=["zero", "str"])
+    def test_given_budget_follows_the_precision_rule(self, budget, error, message):
+        # 3 separates from 0 at the first width tried, so no search reads the budget
+        for step in (canonicalize, inv):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                step(g_embed(3), 10, budget=budget)
+
+    @staticmethod
+    def check_canonical_pair(x, a, b=Fraction(0), p=2):
+        """x's canonical pair at 10^4 is signed(C, negative) and keeps the
+        value a + b*sqrt(p): S_1 on the side the sign puts it, C + S_1 on the other."""
+        c = canonicalize(x, 10 ** 4)
+        assert c.negative == (surd_sign(a, b, p) < 0)
+        shift, gap = (c.pos, c.neg) if c.negative else (c.neg, c.pos)
+        assert shift is real.S_ONE
+        assert isinstance(gap, Sum) and gap.left is c.magnitude and gap.right is real.S_ONE
+        iv = rational_interval(c, 10 ** 6)
+        assert surd_sign(a - iv.lo, b, p) >= 0 and surd_sign(iv.hi - a, -b, p) >= 0
+
+    @given(signed.filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_pair_of_a_literal(self, a):
+        self.check_canonical_pair(g_embed(a), a)
+
+    def test_canonical_pair_of_a_root_minus_a_literal(self):
+        x = sub(f_embed(root_cut(2, q(2))), g_embed(Fraction(7, 5)))
+        self.check_canonical_pair(x, Fraction(-7, 5), Fraction(1))
+        self.check_canonical_pair(neg(x), Fraction(7, 5), Fraction(-1))
 
 
 class TestInv:
