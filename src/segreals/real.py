@@ -11,21 +11,24 @@ A real built as a literal, a root or an inverse also knows its sign
 from how it was built (an inverse from the certificate `inv` needs
 anyway): its `magnitude` is the positive cut C whose value is its
 absolute value, and it is (C + S_1, S_1), negated when `negative`.
-Negation keeps what is known.  Multiplication uses what the factors
-know: two factors of known sign multiply their magnitudes in one
-product, one factor of known sign, magnitude C, scales the other's
-components as (C*c, C*d), and only when neither sign is known is the
-formal product of differences expanded:
+Negation keeps what is known, and a sum of same-sign terms records
+that sign: its pair is the componentwise sum, and its magnitude the sum
+of theirs.  Multiplication uses what the factors know: two factors of
+known sign multiply their magnitudes in one product, one factor of
+known sign, magnitude C, scales the other's components as (C*c, C*d),
+and only when neither sign is known is the formal product of
+differences expanded:
 
     (a - b) * (c - d)  =  (ac + bd) - (ad + bc)
 
 So the components of a product of known signs grow as its value does,
 where the expansion multiplies them by the factors' component sums:
 (2*x) would have four times x's components and only twice its value.
-Sums and differences know no sign, and every observer reads the pair
-alone.  A sign certified at a precision gives any pair its canonical
-pair: `canonicalize` returns signed(C, negative), C the gap between the
-components, and `inv` inverts that C.
+Other sums and differences know no sign, and every observer reads the
+pair alone.  A sign certified at a precision gives any pair its
+canonical pair: `canonicalize` returns signed(C, negative), C the gap
+between the components.  `inv` pays that certificate, then inverts the
+magnitude the divisor knows, or else that C.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ SignVerdict = Positive | Negative | IndistinguishableFromZero
 class Real:
     """A formal difference of two cuts.  Identity-based equality only.
 
-    A sign known from how it was built (see `signed`) is recorded once:
-    the value is the positive cut `magnitude`'s, negated when `negative`.
-    Otherwise `magnitude` is None and `negative` False.  Only `mul` reads them.
+    A sign known from how it was built (see `signed` and `add`) is
+    recorded once: the value is the positive cut `magnitude`'s, negated
+    when `negative`.  Otherwise `magnitude` is None and `negative` False.
+    Only `mul`, `add` and `inv` read them.
     """
 
     pos: Cut
@@ -123,7 +127,11 @@ def zero() -> Real:
 
 
 def add(x: Real, y: Real) -> Real:
-    return Real(cut.add(x.pos, y.pos), cut.add(x.neg, y.neg))
+    """The componentwise sum; terms of one known sign add their magnitudes too."""
+    pos, neg_ = cut.add(x.pos, y.pos), cut.add(x.neg, y.neg)
+    if x.magnitude is None or y.magnitude is None or x.negative != y.negative:
+        return Real(pos, neg_)
+    return Real(pos, neg_, cut.add(x.magnitude, y.magnitude), x.negative)
 
 
 def neg(x: Real) -> Real:
@@ -181,9 +189,12 @@ def canonicalize(x: Real, n: int,
     components are literally the same node, the one situation where zero
     is decidable, and it is the only answer whose `magnitude` is None;
     every other unresolved case is IndistinguishableFromZero, which is a
-    statement about the precision, not about the value.
+    statement about the precision, not about the value.  A given budget
+    is checked first, as the precision is, whatever the answer.
     """
     cut.check_precision(n)
+    if budget is not None:
+        cut.check_precision(budget, "precision budget")
     if x.pos is x.neg:
         return zero()
     verdict = cut.compare(x.pos, x.neg, n)
@@ -203,15 +214,17 @@ def canonicalize(x: Real, n: int,
 def inv(x: Real, n: int, budget: int | None = None) -> Real:
     """Multiplicative inverse, guarded by a nonzero certificate at 1/n.
 
-    The canonical pair (C + S_1, S_1) of a certified positive inverts to
-    (C^ + S_1, S_1) with C^ the reciprocal cut of its magnitude C; the
-    negative case mirrors the components.  The result knows its sign,
-    and C^ is its magnitude.  The budget is spent only when
-    `canonicalize` builds the difference C, not by building C^.
+    A certified positive of magnitude C inverts to (C^ + S_1, S_1) with
+    C^ the reciprocal cut of C; the negative case mirrors the components.
+    C is the magnitude x records when it knows its sign, and otherwise
+    the canonical form's.  The certificate is paid either way: the budget
+    is spent when `canonicalize` builds its difference, not by building
+    C^.  The result knows its sign, and C^ is its magnitude.
     """
     form = canonicalize(x, n, budget)
     if isinstance(form, IndistinguishableFromZero):
         raise ZeroAtPrecision(n)
     if form.magnitude is None:
         raise ZeroAtPrecision(n, "the value is exactly zero and has no inverse")
-    return signed(cut.inverse(form.magnitude), form.negative)
+    known = form if x.magnitude is None else x
+    return signed(cut.inverse(known.magnitude), known.negative)

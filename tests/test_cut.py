@@ -57,6 +57,7 @@ from support import (
     brackets_overlap,
     fr,
     leaf_member_oracle,
+    oracle_decimal,
     q,
     ratio_refine,
     straddles,
@@ -1110,6 +1111,35 @@ class TestCeilings:
         out, calls = self.evaluated(brackets, "1/(" * levels + "3" + ")" * levels)
         assert out == "3.00000"
         assert calls <= before
+
+    @pytest.mark.parametrize("text, value, bound", [
+        # inverting through a Difference of the canonical pair took 19 343
+        # calls here, and one wrapper frame more raised RecursionError
+        ("1/(" * 100 + "3" + ")" * 100, "3.00000", 9000),
+        # 12 029 calls when each sum divisor was inverted through a Difference
+        ("1/(1+" * 50 + "sqrt(2)" + ")" * 50, "0.61803", 7500),
+    ], ids=["nested-inverse-100", "continued-fraction-50"])
+    def test_divisors_of_known_sign_invert_their_magnitude(self, counted, text, value, bound):
+        # a sum of same-sign terms records its magnitude, and inv inverts
+        # it after the certificate: no Difference is built
+        _, brackets, _ = counted
+        out, calls = self.evaluated(brackets, text)
+        assert out == value
+        assert calls <= bound
+        assert brackets["Difference"] == 0
+
+    def test_long_same_sign_divisor_is_linear(self, counted):
+        # the magnitude chain shares no Sum node with the pair that the
+        # certificate has just bracketed, so a k-term divisor pays about
+        # 3k calls where the canonical pair's difference paid about k
+        # (73 and 133 calls at k = 20 and 40, from 35 and 55); linear still
+        _, brackets, _ = counted
+        calls = {}
+        for k in (20, 40):
+            text = "1/(" + "+".join(f"{i}/7" for i in range(1, k + 1)) + ")"
+            out, calls[k] = self.evaluated(brackets, text)
+            assert out == oracle_decimal(Fraction(14, k * (k + 1)), 5)
+        assert calls[40] <= 2 * calls[20]
 
 
 class TestTraceHooks:

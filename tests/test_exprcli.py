@@ -858,6 +858,22 @@ class TestEntryPoint:
         assert exit_.value.code == code
         assert capsys.readouterr().out == stdout
 
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (["eval", "sqrt(2)", "--digits", "8"], 0, "1.41421356\n"),
+        (["eval", "1/0"], 3, ""),
+    ])
+    def test_python_m_segreals_runs_reals(self, monkeypatch, tmp_path, argv, code, stdout):
+        src = str(Path(exprcli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop(exprcli.ENV_BUDGET, None)
+        done = subprocess.run([sys.executable, "-m", "segreals", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        monkeypatch.delenv(exprcli.ENV_BUDGET, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (code, stdout, run_cli(argv)[2])
+        assert done.stderr.count("\n") == (code != 0)
+
 
 class TestClosedPipe:
     @pytest.mark.parametrize("digits", ["3", "10000"])

@@ -33,7 +33,7 @@ from segreals import (
     sign,
     zero,
 )
-from segreals.cut import Product, Sum
+from segreals.cut import Difference, Product, Sum
 from segreals.real import add, mul, neg, sub
 
 from support import (
@@ -229,6 +229,19 @@ class TestCanonicalize:
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 step(g_embed(3), 10, budget=budget)
 
+    @pytest.mark.parametrize("budget,error,message", [
+        (0, ValueError, "precision budget must be >= 1, got 0"),
+        ("8", TypeError, "precision budget must be an int, got '8'"),
+    ], ids=["zero", "str"])
+    @pytest.mark.parametrize("kind", ["syntactic-zero", "indeterminate"])
+    def test_given_budget_is_checked_before_any_answer(self, kind, budget, error, message):
+        # no difference is built for these, so only the entry check reads the budget
+        root = f_embed(root_cut(2, q(2)))
+        x = zero() if kind == "syntactic-zero" else sub(mul(root, root), g_embed(2))
+        for step in (canonicalize, inv):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                step(x, 10, budget=budget)
+
     @staticmethod
     def check_canonical_pair(x, a, b=Fraction(0), p=2):
         """x's canonical pair at 10^4 is signed(C, negative) and keeps the
@@ -292,6 +305,29 @@ class TestInv:
             inv(square_minus_two, 1000)
         assert exc.value.precision == 1000
 
+    @pytest.mark.parametrize("x", [
+        g_embed(Fraction(-3, 4)),
+        f_embed(root_cut(2, q(2))),
+        add(g_embed(1), f_embed(root_cut(2, q(2)))),
+        neg(add(g_embed(1), inv(g_embed(3), 10))),
+    ], ids=["literal", "root", "sum", "negative-sum"])
+    def test_known_sign_inverts_its_own_magnitude(self, x):
+        y = inv(x, 10)
+        assert y.magnitude.operand is x.magnitude
+        assert y.negative is x.negative
+
+    def test_unknown_sign_inverts_the_canonical_magnitude(self):
+        x = sub(f_embed(root_cut(2, q(2))), g_embed(1))
+        assert isinstance(inv(x, 10).magnitude.operand, Difference)
+
+    def test_known_sign_still_pays_the_certificate(self):
+        # 1/3 knows its sign, but inv certifies it as any divisor: the
+        # difference of its pair does not separate within budget 1
+        x = g_embed(Fraction(1, 3))
+        with pytest.raises(PrecisionBudgetExhausted):
+            inv(x, 10, budget=1)
+        assert inv(x, 10).magnitude.operand is x.magnitude
+
     def test_zero_product_needs_a_zero_factor(self):
         # certified nonzero product means both factors certify at some
         # finer precision
@@ -321,9 +357,10 @@ class TestGroupLaws:
         assert interval_contains(value_interval(x * y + x * z), expected)
 
 
-# Factor sources for products, with their exact values a + b*sqrt(p):
-# literals and roots know their sign, and so do inverses, which certify
-# it; sums and differences do not.  Each may be negated.
+# Factor sources for products and sums, with their exact values
+# a + b*sqrt(p): literals and roots know their sign, and so do inverses,
+# which certify it; sums and differences know it only when their two
+# terms share one.  Each may be negated.
 FACTOR_KINDS = ("lit", "root", "inv", "sum", "diff")
 
 
@@ -371,6 +408,8 @@ def _sign_sources():
         "inverse": inv(g_embed(-3), 10),
         "known-sign-product": mul(x, g_embed(-2)),
         "unsigned-sum": add(x, g_embed(Fraction(-1))),
+        "positive-sum": add(x, g_embed(2)),
+        "negative-sum": add(g_embed(Fraction(-1, 2)), inv(g_embed(-3), 10)),
     }
 
 
@@ -402,6 +441,50 @@ class TestSignRecord:
                                                          r.denominator)
         assert y.magnitude.bound == x.magnitude.bound == PosRational(r.numerator, r.denominator)
         assert not x.negative and y.negative
+
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(st.tuples(st.sampled_from(FACTOR_KINDS),
+                              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                              st.booleans()),
+                    min_size=2, max_size=5),
+           st.sampled_from([10, 1000, 10 ** 6]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_sign_sums_record_their_magnitude(self, p, terms, n):
+        x, (a, b) = _factor(*terms[0], p)
+        for kind, c, negate in terms[1:]:
+            y, (u, v) = _factor(kind, c, negate, p)
+            same = (x.magnitude is not None and y.magnitude is not None
+                    and x.negative == y.negative)
+            negative = x.negative
+            x, (a, b) = add(x, y), (a + u, b + v)
+            # the pair is the componentwise sum whatever the signs
+            assert _value(x, p) == (a, b)
+            assert (x.magnitude is not None) is same
+            assert x.negative is (same and negative)
+        if x.magnitude is None:
+            return
+        m = surd_values([x.magnitude], p)[id(x.magnitude)][1]
+        assert m == ((-a, -b) if x.negative else (a, b))
+        assert surd_sign(*m, p) > 0
+        br = bracket(x.magnitude, n)
+        assert fr(br.width) <= Fraction(1, n)
+        assert surd_sign(m[0] - fr(br.lo), m[1], p) > 0
+        assert surd_sign(fr(br.hi) - m[0], -m[1], p) >= 0
+
+    def test_mixed_signs_record_none(self):
+        root = f_embed(root_cut(2, q(2)))
+        for x in (add(g_embed(2), g_embed(-1)), add(neg(root), g_embed(3)),
+                  add(root, sub(root, g_embed(1)))):
+            assert x.magnitude is None and not x.negative
+
+    def test_negating_a_signed_sum_flips_its_sign(self):
+        x = add(g_embed(1), f_embed(root_cut(2, q(2))))
+        assert x.magnitude is not None and not x.negative
+        y = neg(x)
+        assert y.magnitude is x.magnitude and y.negative
+        assert rational_interval(y, 100).hi < 0
+        z = add(y, g_embed(-1))
+        assert z.negative and z.magnitude.left is x.magnitude
 
     def test_indeterminate_is_indistinguishable_from_zero(self):
         assert Indeterminate is IndistinguishableFromZero
