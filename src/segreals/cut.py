@@ -152,10 +152,11 @@ class Cut:
     """Base class for cut expression nodes.
 
     Nodes are immutable once built, apart from one cache: `_best`, the
-    tightest bracket `bracket` has seen for the node and the precision
-    it was asked at, replaced by narrower brackets only and never filled
-    on kinds whose `_keeps_best` is false.  `ceiling` is fixed when the
-    node is built: an integer at or above its value, so a non-member,
+    tightest bracket `bracket` has seen for the node, kept with its
+    reach, floor(1/width), the finest precision it serves.  It is
+    replaced by narrower brackets only and never filled on kinds whose
+    `_keeps_best` is false.  `ceiling` is fixed when the node is
+    built: an integer at or above its value, so a non-member,
     derived from its operands' ceilings, or for an inverse from a member
     of its operand.  Each subclass supplies `_fresh(n)`, its bracket at
     precision n computed without the cache, and a `__repr__` giving its
@@ -419,7 +420,7 @@ class Inverse(Cut):
         # the inverse ask its other factor finer (twice as fine when the
         # inverse is below 1), and in a chain of divisions that product's
         # stored bracket then serves the next divisor's certificate
-        super().__init__(ceil_int(x0.reciprocal()) + 1)
+        super().__init__(-(-x0.den // x0.num) + 1)
         self.operand = operand
         self.x0 = x0
 
@@ -427,8 +428,8 @@ class Inverse(Cut):
         x0 = self.x0
         # 1/x - 1/y = (y - x)/(x*y) <= (y - x)/x0^2 once both endpoints sit
         # above x0, so operand width x0^2/(2n) keeps the reciprocal gap under
-        # 1/(2n)
-        m = max(1, ceil_int(PosRational(2 * n * x0.den ** 2, x0.num ** 2)))
+        # 1/(2n); m is the ceiling of a positive ratio, so at least 1
+        m = -(-2 * n * x0.den ** 2 // x0.num ** 2)
         fine = bracket(self.operand, m)
         x, y = max(fine.lo, x0), fine.hi
         k = _grid_bits(n)
@@ -610,20 +611,17 @@ def bracket(a: Cut, n: int) -> Bracket:
     separation of its operands when it was built.
     """
     check_precision(n)
-    asked, best = a._best
-    # a bracket asked at `asked` serves every coarser request; a finer one
-    # is served when its actual width allows, which is checked only then
-    # so that nodes asked once never pay for it
-    if n <= asked or best is not None and n <= _reach(best):
+    reach, best = a._best
+    # the stored bracket serves every n its width allows, whatever was asked
+    if n <= reach:
         return best
     result = a._fresh(n)
     if a._keeps_best:
+        reach = _reach(result)
         with _STORE:
-            # `best` was too wide for n and `result` is not; if another
-            # thread stored a bracket meanwhile, keep the narrower one
-            current = a._best[1]
-            if current is best or _reach(result) > _reach(current):
-                a._best = (n, result)
+            # another thread may have stored a narrower bracket meanwhile
+            if reach > a._best[0]:
+                a._best = (reach, result)
     return result
 
 

@@ -397,7 +397,7 @@ def _load_config() -> dict:
     if not path.is_file():
         return settings
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {CONFIG_FILE}: {exc}") from None
     for line in text.splitlines():

@@ -629,7 +629,16 @@ class TestMemoisation:
         assert finer is not fine and sum(brackets.values()) > 2  # computed afresh
         assert fr(finer.width) <= Fraction(1, reach + 1)
 
-    @pytest.mark.parametrize("leaf", [s_r(q(22, 7)), root_cut(3, q(5, 2))])
+    def test_record_is_the_stored_bracket_with_its_reach(self):
+        # the record keeps the finest precision the bracket serves, not
+        # the one it was asked at: a product comes out narrower than asked
+        a = mul(add(root_cut(2, q(2)), s_r(q(1, 3))), inverse(s_r(q(3))))
+        fine = bracket(a, 10 ** 6)
+        reach = math.floor(1 / fr(fine.width))
+        assert reach > 10 ** 6
+        assert a._best == (reach, fine) and a._best[1] is fine
+
+    @pytest.mark.parametrize("leaf",[s_r(q(22, 7)), root_cut(3, q(5, 2))])
     def test_leaves_ignore_earlier_requests(self, leaf):
         # closed-form leaves keep nothing, so a fine request never changes
         # the bytes of a later coarse one

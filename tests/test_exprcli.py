@@ -929,6 +929,12 @@ class TestCliConfig:
         monkeypatch.chdir(tmp_path)
         assert run_cli(["eval", "1/4"]) == (0, "0.250\n", "")
 
+    def test_byte_order_mark_keeps_the_first_setting(self, tmp_path, monkeypatch):
+        # an editor's UTF-8 byte-order mark is not part of the first key
+        (tmp_path / "reals.toml").write_bytes(b"\xef\xbb\xbfdigits = 3\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["eval", "1/3"]) == (0, "0.333\n", "")
+
     def test_flag_beats_config(self, tmp_path, monkeypatch):
         (tmp_path / "reals.toml").write_text("digits = 3\n")
         monkeypatch.chdir(tmp_path)
