@@ -71,44 +71,33 @@ def decimal(x: Real, digits: int) -> str:
     result is the interval itself, endpoints rounded outward.
     """
     cut.check_precision(digits, "digits")
-    iv = rational_interval(x, 10 ** (digits + 2))
+    scale = 10 ** digits
+    iv = rational_interval(x, 100 * scale)
+    # one division per endpoint: v * 10^d = floor + rem/den, 0 <= rem < den
+    lo, lo_rem = _scaled_divmod(iv.lo, scale)
+    hi, hi_rem = _scaled_divmod(iv.hi, scale)
     if not (iv.lo < 0 < iv.hi):
-        a = _round_half_up(iv.lo, digits)
-        b = _round_half_up(iv.hi, digits)
+        # half up, floor(v * 10^d + 1/2), is monotone, so agreement of both
+        # interval ends pins the rounding of everything between them
+        a = lo + (2 * lo_rem >= iv.lo.denominator)
+        b = hi + (2 * hi_rem >= iv.hi.denominator)
         if a == b:
             return _format_scaled(a, digits)
-    return (f"[{_format_scaled(_round_floor(iv.lo, digits), digits)}, "
-            f"{_format_scaled(_round_ceil(iv.hi, digits), digits)}]")
+    # outward: the floor of the lower end, the ceiling of the upper one
+    return f"[{_format_scaled(lo, digits)}, {_format_scaled(hi + (hi_rem > 0), digits)}]"
 
 
 def _minus(a: PosRational, b: PosRational) -> Fraction:
     return Fraction(a.num * b.den - b.num * a.den, a.den * b.den)
 
 
-def _as_scaled_pair(v: Fraction, digits: int) -> tuple[int, int]:
-    # v * 10^digits as an exact integer pair (numerator, denominator > 0)
-    return v.numerator * 10 ** digits, v.denominator
-
-
-def _round_half_up(v: Fraction, digits: int) -> int:
-    # floor(v * 10^d + 1/2); monotone, so agreement of both interval ends
-    # pins the rounding of everything between them
-    t, q = _as_scaled_pair(v, digits)
-    return (2 * t + q) // (2 * q)
-
-
-def _round_floor(v: Fraction, digits: int) -> int:
-    t, q = _as_scaled_pair(v, digits)
-    return t // q
-
-
-def _round_ceil(v: Fraction, digits: int) -> int:
-    t, q = _as_scaled_pair(v, digits)
-    return -((-t) // q)
+def _scaled_divmod(v: Fraction, scale: int) -> tuple[int, int]:
+    # floor(v * scale) and the remainder over v's denominator
+    return divmod(v.numerator * scale, v.denominator)
 
 
 def _format_scaled(units: int, digits: int) -> str:
-    # `units` counts 10^-digits steps; render as fixed-point decimal
-    sign = "-" if units < 0 else ""
-    whole, frac = divmod(abs(units), 10 ** digits)
-    return f"{sign}{int_str(whole)}.{int_str(frac).rjust(digits, '0')}"
+    # `units` counts 10^-digits steps; render as fixed-point decimal, with
+    # at least one digit before the point
+    text = int_str(abs(units)).rjust(digits + 1, "0")
+    return f"{'-' if units < 0 else ''}{text[:-digits]}.{text[-digits:]}"

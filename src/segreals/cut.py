@@ -369,7 +369,8 @@ class Product(Cut):
     times the other's, and X is clamped to A: the exact product is then
     at most A/(4nA) + B/(4nB) = 1/(2n) wide, with no bracket spent on
     magnitudes.  It is then rounded outward onto the grid 1/2^k,
-    2^k >= 4n, at most 1/(2n) more.  A lower end with no positive grid
+    2^k >= 4n, at most 1/(2n) more, straight from the integer products
+    of the ends, unreduced.  A lower end with no positive grid
     point below it is kept unrounded, since a bracket's lower end is
     never 0.
     """
@@ -389,9 +390,10 @@ class Product(Cut):
             # A is a non-member, so (x, A] is still a bracket
             fa = Bracket(fa.lo, PosRational(a))
         k = _grid_bits(n)
-        lo = fa.lo * fb.lo
+        num, den = fa.lo.num * fb.lo.num, fa.lo.den * fb.lo.den
         # a member too small for the grid stays as it is
-        return Bracket(_grid_below(lo, k) or lo, _grid_above(fa.hi * fb.hi, k))
+        return Bracket(_grid_below(num, den, k) or PosRational(num, den),
+                       _grid_above(fa.hi.num * fb.hi.num, fa.hi.den * fb.hi.den, k))
 
     def __repr__(self) -> str:
         return f"(product {self.left!r} {self.right!r})"
@@ -406,7 +408,8 @@ class Inverse(Cut):
     raised to at least x0.  From an operand bracket (x, y] at most
     x0^2/(2n) wide, 1/x - 1/y is then at most 1/(2n).  Then 1/x is
     rounded up and 1/y strictly down onto the grid 1/2^k, 2^k >= 4n, at
-    most 1/(2n) more; strictly, because 1/y itself is a member only when
+    most 1/(2n) more, each from its end's integer pair read the other way
+    round; strictly, because 1/y itself is a member only when
     y is above the operand's value.  When 1/y <= 1/2^k has no positive
     grid point below it, the lower end is y.den/(y.num + 1), below 1/y
     by less than 1/y.
@@ -435,8 +438,8 @@ class Inverse(Cut):
         k = _grid_bits(n)
         # y is outside the operand, so everything strictly below 1/y is a
         # member, and 1/x is above every member
-        lo = _grid_below(y.reciprocal(), k) or PosRational(y.den, y.num + 1)
-        return Bracket(lo, _grid_above(x.reciprocal(), k))
+        lo = _grid_below(y.den, y.num, k) or PosRational(y.den, y.num + 1)
+        return Bracket(lo, _grid_above(x.den, x.num, k))
 
     def __repr__(self) -> str:
         return f"(inverse {self.operand!r})"
@@ -700,21 +703,14 @@ def _iroot(t: int, d: int) -> int:
 
 def _total(points: list[tuple[PosRational, int]]) -> PosRational:
     """The exact sum of the (point, multiplicity) pairs, added on integers
-    and reduced once: one step per distinct point, however often it occurs.
+    and reduced once: one term per distinct point, however often it occurs.
 
-    The running denominator is the least common multiple of the points'
+    The common denominator is the least common multiple of the points'
     denominators, which on the dyadic grids of leaf brackets stays near
     the largest of them, instead of their product.
     """
-    num, den = 0, 1
-    for p, k in points:
-        g = math.gcd(den, p.den)
-        if g == p.den:
-            num += k * p.num * (den // g)
-        else:
-            f = p.den // g
-            num, den = num * f + k * p.num * (den // g), den * f
-    return PosRational(num, den)
+    den = math.lcm(*(p.den for p, _ in points))
+    return PosRational(sum(k * p.num * (den // p.den) for p, k in points), den)
 
 
 def _grid_bits(n: int) -> int:
@@ -722,22 +718,24 @@ def _grid_bits(n: int) -> int:
     return (4 * n - 1).bit_length()
 
 
-def _grid_below(x: PosRational, k: int) -> PosRational | None:
-    """The largest point of the grid 1/2^k strictly below x, if one is positive.
+def _grid_below(num: int, den: int, k: int) -> PosRational | None:
+    """The largest point of the grid 1/2^k strictly below num/den, if one is positive.
 
-    Within 1/2^k of x.  Cuts are downward closed, so it is a member
-    whenever everything below x is.
+    Within 1/2^k of num/den, which need not be reduced: the point depends
+    only on the value.  Cuts are downward closed, so it is a member
+    whenever everything below num/den is.
     """
-    j = ((x.num << k) - 1) // x.den
+    j = ((num << k) - 1) // den
     return PosRational(j, 1 << k) if j else None
 
 
-def _grid_above(x: PosRational, k: int) -> PosRational:
-    """The least point of the grid 1/2^k at or above x, within 1/2^k of it.
+def _grid_above(num: int, den: int, k: int) -> PosRational:
+    """The least point of the grid 1/2^k at or above num/den, within 1/2^k of it.
 
-    Every rational above a non-member is a non-member.
+    num/den need not be reduced.  Every rational above a non-member is a
+    non-member.
     """
-    return PosRational(-(-(x.num << k) // x.den), 1 << k)
+    return PosRational(-(-(num << k) // den), 1 << k)
 
 
 def _clamp(fine: Bracket, coarse: Bracket) -> Bracket:

@@ -54,10 +54,15 @@ def g_embed(q: Fraction | int) -> Real:
     is negative, and carries S_m as its magnitude, so a product with it
     scales by m instead of by the components; zero knows no sign, and
     shares a single S_1 node between the components so that downstream
-    code can recognise it syntactically.
+    code can recognise it syntactically.  Any other type, a float or a
+    Decimal included, raises TypeError.
     """
-    if q == 0:
+    try:
+        num, den = q.numerator, q.denominator
+    except AttributeError:
+        raise TypeError(f"g_embed takes a Fraction or an int, got {q!r}") from None
+    if num == 0:
         return real.zero()
-    num, den = abs(q.numerator), q.denominator
-    x = Real(cut.s_r(PosRational(num + den, den)), real.S_ONE, cut.s_r(PosRational(num, den)))
-    return real.neg(x) if q < 0 else x
+    m = abs(num)
+    x = Real(cut.s_r(PosRational(m + den, den)), real.S_ONE, cut.s_r(PosRational(m, den)))
+    return real.neg(x) if num < 0 else x

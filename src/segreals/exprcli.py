@@ -227,8 +227,11 @@ def _walk(e: Expr, verb: str, *args: Any) -> Any:
 def evaluate(e: Expr, n: int, budget: int | None = None) -> Real:
     """Evaluate a tree to a signed real, certifying divisors nonzero at 1/n.
 
-    n is checked first, whether or not the tree has a divisor."""
+    n, and then a budget when one is given, are checked first, whether or
+    not the tree has a divisor."""
     cut.check_precision(n)
+    if budget is not None:
+        cut.check_precision(budget, "precision budget")
     return _walk(e, "evaluate", n, budget)
 
 

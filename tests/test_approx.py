@@ -18,7 +18,7 @@ from segreals import (
     root_cut,
     zero,
 )
-from segreals.real import mul, sub
+from segreals.real import mul, neg, sub
 
 from support import fr, interval_contains, oracle_decimal, q, sqrt_bounds
 
@@ -155,21 +155,36 @@ class TestDecimal:
         with pytest.raises(ValueError):
             decimal(zero(), 0)
 
+    def test_interval_form_past_the_int_conversion_cap(self):
+        # outward endpoints longer than the interpreter's 4300-digit
+        # int-to-str cap, on either side of zero
+        zeros, unit = "0." + "0" * 5000, "0." + "0" * 4999 + "1"
+        tiny = g_embed(Fraction(1, 2 * 10 ** 5000))
+        assert decimal(tiny, 5000) == f"[{zeros}, {unit}]"
+        assert decimal(neg(tiny), 5000) == f"[-{unit}, {zeros}]"
+        root2 = f_embed(root_cut(2, q(2)))
+        assert decimal(sub(root2, root2), 5000) == f"[-{unit}, {unit}]"
+
 
 class TestScalingHelpers:
+    @staticmethod
+    def half_up(v, digits):
+        from segreals.approx import _scaled_divmod
+        units, rem = _scaled_divmod(v, 10 ** digits)
+        return units + (2 * rem >= v.denominator)
+
     @given(signed, st.integers(1, 8))
     def test_half_up_monotone(self, a, digits):
-        from segreals.approx import _round_half_up
         v = a
         w = a + Fraction(1, 997)
-        assert _round_half_up(v, digits) <= _round_half_up(w, digits)
+        assert self.half_up(v, digits) <= self.half_up(w, digits)
 
     @given(signed, st.integers(1, 8))
     def test_floor_ceil_sandwich(self, a, digits):
-        from segreals.approx import _round_ceil, _round_floor, _round_half_up
-        lo = _round_floor(a, digits)
-        hi = _round_ceil(a, digits)
-        assert lo <= _round_half_up(a, digits) <= hi + 1
+        from segreals.approx import _scaled_divmod
+        lo, rem = _scaled_divmod(a, 10 ** digits)
+        hi = lo + (rem > 0)
+        assert lo <= self.half_up(a, digits) <= hi + 1
         assert Fraction(lo, 10 ** digits) <= a <= Fraction(hi, 10 ** digits)
 
     def test_format_scaled(self):

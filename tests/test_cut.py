@@ -940,7 +940,7 @@ class TestOutwardRounding:
         k = _grid_bits(n)
         assert 4 * n <= 2 ** k < 8 * n
         step = Fraction(1, 2 ** k)
-        above, below = _grid_above(x, k), _grid_below(x, k)
+        above, below = _grid_above(x.num, x.den, k), _grid_below(x.num, x.den, k)
         assert dyadic(above) and fr(x) <= fr(above) < fr(x) + step
         if below is None:
             assert fr(x) <= step
@@ -1046,10 +1046,10 @@ class TestCeilings:
         import segreals.cut as cut_module
         ends = []
         plain_below, plain_above = cut_module._grid_below, cut_module._grid_above
-        monkeypatch.setattr(cut_module, "_grid_below",
-                            lambda x, k: ends.append(x) or plain_below(x, k))
-        monkeypatch.setattr(cut_module, "_grid_above",
-                            lambda x, k: ends.append(x) or plain_above(x, k))
+        monkeypatch.setattr(cut_module, "_grid_below", lambda num, den, k:
+                            ends.append(Fraction(num, den)) or plain_below(num, den, k))
+        monkeypatch.setattr(cut_module, "_grid_above", lambda num, den, k:
+                            ends.append(Fraction(num, den)) or plain_above(num, den, k))
         roots = [root_cut(k, q(2 ** (b * k) - d)) for k in (2, 4, 5) for b in (1, 2, 3)
                  for d in (1, 2)]
         for a in roots:

@@ -1,7 +1,10 @@
 """Embeddings: the maps of rationals into cuts and reals."""
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +140,13 @@ class TestGEmbed:
         lo, hi = (a, b) if a < b else (b, a)
         n = int(4 / (hi - lo)) + 1
         assert less_than(g_embed(lo), g_embed(hi), n) is Comparison.LESS
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, "1/2", Decimal("0.5"), Decimal(0)],
+                             ids=repr)
+    def test_other_types_are_refused(self, value):
+        # a zero of another type too: only a Fraction or an int is a rational here
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            g_embed(value)
 
 
 class TestCompatibility:

@@ -560,6 +560,15 @@ class TestEvaluate:
         with pytest.raises(error, match=f"^precision denominator {re.escape(message)}$"):
             evaluate(parse(text), n)
 
+    @pytest.mark.parametrize("text", ["1+1", "1/(1/3)"], ids=["plain", "divisor"])
+    @pytest.mark.parametrize("budget,error,message", [
+        (0, ValueError, "must be >= 1, got 0"),
+        ("8", TypeError, "must be an int, got '8'"),
+    ], ids=["zero", "str"])
+    def test_budget_is_checked_on_entry(self, text, budget, error, message):
+        with pytest.raises(error, match=f"^precision budget {re.escape(message)}$"):
+            evaluate(parse(text), 10, budget=budget)
+
     @pytest.mark.parametrize("text,value", [
         ("2", Fraction(2)),
         ("1/3 + 1/6", Fraction(1, 2)),
