@@ -16,8 +16,9 @@ answer the library gives is exact about its own uncertainty.
 
 Each node kind brackets and renders itself: ``_fresh`` computes its
 bracket from its operands' brackets (or, on a leaf, from its witnesses)
-and ``repr`` is its s-expression; each leaf kind also climbs to a
-member above a given one (``_climb``, behind ``next_member_above``).
+and ``repr`` is its s-expression; a leaf also answers ``contains(x)``
+and names its largest member numerator over a given denominator, from
+which it is bracketed and climbs (behind ``next_member_above``).
 ``bracket`` is the single entry point; it validates the precision and
 owns the cache, and composite nodes recurse through it, never through
 each other's ``_fresh``.  A sum is the one exception to one bracket
@@ -30,13 +31,13 @@ counts every occurrence.  The cache is one slot per node, and a node's
 only mutable state: the tightest bracket seen so far.  A bracket of
 width w answers every request with w*n <= 1, so a shared node asked at
 several precisions is computed once per refinement, not once per
-precision.  Rational and root leaves are not cached; their
-closed form, the largest member numerator over a given denominator,
-costs one integer division or k-th root, and computing it every time
-keeps their brackets independent of what was asked before.  The same
-closed form climbs, without a membership test.  Leaf membership inside
-this module goes through ``membership_leaf``, so wrapping those two
-module attributes sees every bracket and every membership test.
+precision.  Rational and root leaves are not cached: that numerator
+is one integer division or k-th root, so computing it every time keeps
+their brackets independent of what was asked before, and they climb
+without a membership test.  An oracle leaf bisects the integers for it
+and keeps its tightest bracket.  Leaf membership inside this module
+goes through ``membership_leaf``, so wrapping those two module
+attributes sees every bracket and every membership test.
 
 Every node also carries a ``ceiling``: an integer at or above its
 value, so a non-member, fixed when the node is built, without recursion.
@@ -50,11 +51,10 @@ its own value is then below 1/x0, which gives its ceiling, and x0 bounds
 the operand from below in every later bracket.  A product asks each
 operand at 4n times the other's ceiling, which is what that operand's
 error costs in the product; so a chain of L products costs about 2L
-brackets, where bracketing each operand at n = 1 first for its
-magnitude walked the chain below at every level.  A difference settles
-its premise, lower below upper, when it is built too: the search for
-brackets that separate its operands is the only work with a budget, so
-``bracket`` takes none and never runs out of one.
+brackets.  A difference settles its premise, lower below upper, when
+it is built too: the search for brackets that separate its operands is
+the only work with a budget, so ``bracket`` takes none and never runs
+out of one.
 
 A bracket's endpoints need not be the exact rationals the arithmetic
 produced.  ``Product`` and ``Inverse`` round theirs outward onto the
@@ -78,7 +78,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .qpos import ONE, PosRational, ceil_int, halve
+from .qpos import ONE, NotGreaterError, PosRational, ceil_int, halve
 
 # Cap on the precision denominator of `difference`'s search for a separation:
 # past it, it raises instead of looping forever on a pair of equal values.
@@ -160,12 +160,13 @@ class Cut:
     derived from its operands' ceilings, or for an inverse from a member
     of its operand.  Each subclass supplies `_fresh(n)`, its bracket at
     precision n computed without the cache, and a `__repr__` giving its
-    s-expression.  Which bracket a request gets depends on what was
-    asked before; every one is certified and at most 1/n wide,
-    also for concurrent callers, which may each compute a fresh bracket
-    and then get different, equally valid ones.  Identity, not
-    structure, is node equality: value equality of cuts is only ever
-    semidecidable and is deliberately not spelled __eq__.
+    s-expression; a leaf also supplies `contains(x)`.  Which bracket a
+    request gets depends on what was asked before; every one is
+    certified and at most 1/n wide, also for concurrent callers, which
+    may each compute a fresh bracket and then get different, equally
+    valid ones.  Identity, not structure, is node equality: value
+    equality of cuts is only ever semidecidable and is deliberately not
+    spelled __eq__.
     """
 
     __slots__ = ("_best", "ceiling")
@@ -174,6 +175,9 @@ class Cut:
     def __init__(self, ceiling: int) -> None:
         self._best: tuple[int, Bracket | None] = (0, None)
         self.ceiling = ceiling
+
+    def contains(self, x: PosRational) -> bool:
+        raise NotALeafError(f"membership is exact on leaves only, not {type(self).__name__}")
 
     def __add__(self, other: Cut) -> Cut:
         return add(self, other)
@@ -185,11 +189,11 @@ class Cut:
 class Leaf(Cut):
     """A cut with exact membership `contains(x)` and `witnesses()` in/out.
 
-    Bracketed in closed form on the dyadic grid over its witnesses
-    (`_grid_bracket`), and climbed in closed form by `_climb`, unless the
-    kind overrides them.  Both ask the kind's `largest_member_numerator`
-    instead of testing membership; that costs one integer division or
-    k-th root, so the bracket is computed on every call and never cached.
+    Every kind is bracketed on the dyadic grid over its witnesses
+    (`_grid_bracket`) and climbed by `_climb`, both from the kind's
+    `largest_member_numerator` over a denominator.  On rational and root
+    leaves that is one integer division or k-th root and no membership
+    test, so their bracket is computed on every call and never cached.
     """
 
     __slots__ = ()
@@ -277,7 +281,7 @@ class OracleCut(Leaf):
     The predicate must describe a genuine initial segment: downward
     closed, no maximum, neither empty nor everything.  The library
     cannot check that; it only spot-checks the two witnesses.  Its
-    predicate is opaque, so it is bracketed and climbed by bisection,
+    predicate is opaque, so its largest member numerator is a search,
     and its tightest bracket is its one cache, kept like a composite's.
     """
 
@@ -297,17 +301,18 @@ class OracleCut(Leaf):
     def witnesses(self) -> tuple[PosRational, PosRational]:
         return self.witness_in, self.witness_out
 
-    def _fresh(self, n: int) -> Bracket:
-        return _bisect(self, *self.witnesses(), n)
-
-    def _climb(self, x: PosRational) -> PosRational:
-        # bisect the gap down towards x until the midpoint lands inside
-        hi = self.witness_out
-        while True:
-            cand = halve(x + hi)
-            if membership_leaf(self, cand):
-                return cand
-            hi = cand
+    def largest_member_numerator(self, den: int) -> int:
+        """The largest integer y with y/den a member, bisected between
+        floor(witness_in*den), in or 0, and ceil(witness_out*den), out."""
+        w_in, w_out = self.witness_in, self.witness_out
+        lo, hi = w_in.num * den // w_in.den, -(-w_out.num * den // w_out.den)
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if membership_leaf(self, PosRational(mid, den)):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def __repr__(self) -> str:
         return f"(oracle {self.witness_in} {self.witness_out})"
@@ -453,7 +458,8 @@ class Difference(Cut):
     value is below upper's, which is settled when the node is built:
     `ba` and `bb` are their brackets at the first width 1/t, t = 1, 2,
     4, ..., with ba.hi < bb.lo (PrecisionBudgetExhausted past the
-    budget, which `check_precision` holds to an int of at least 1).  A
+    budget, which `check_precision` holds to an int of at least 1;
+    NotGreaterError once bb.hi <= ba.lo puts upper below lower).  A
     fresh bracket asks each operand once, at max(2n, t), and clamps it
     against that pair, which keeps its lower end positive.
     """
@@ -469,6 +475,9 @@ class Difference(Cut):
         self.upper = upper
         t = 1
         while (ba := bracket(lower, t)).hi >= (bb := bracket(upper, t)).lo:
+            if bb.hi <= ba.lo:
+                raise NotGreaterError(
+                    f"the upper operand is below the lower one at width 1/{t}")
             t *= 2
             if t > budget:
                 raise PrecisionBudgetExhausted(
@@ -554,7 +563,8 @@ def inverse(a: Cut) -> Inverse:
 
 
 def difference(a: Cut, b: Cut, budget: int | None = None) -> Difference:
-    """The cut c with a + c = b, once brackets within the budget put a below b."""
+    """The cut c with a + c = b, once brackets within the budget put a below b
+    (NotGreaterError once they put b below a)."""
     return Difference(a, b, budget)
 
 
@@ -570,9 +580,7 @@ def sup_finite(members: Iterable[Cut]) -> SupFinite:
 
 
 def membership_leaf(a: Cut, x: PosRational) -> bool:
-    """Exact membership test, defined on leaves only."""
-    if not isinstance(a, Leaf):
-        raise NotALeafError(f"membership is exact on leaves only, not {type(a).__name__}")
+    """Exact membership test: a leaf's `contains`, NotALeafError on composites."""
     return a.contains(x)
 
 
@@ -605,11 +613,11 @@ def bracket(a: Cut, n: int) -> Bracket:
     enough, and otherwise asks the node for a fresh bracket and stores
     it if it is the narrowest yet.  So the bracket returned may be
     narrower than 1/n, and which one it is depends on earlier requests.
-    Rational and root leaves answer in closed form, on the same dyadic
-    grid over their witnesses that bisection would walk, on every call;
-    oracle leaves are bisected; composite nodes recurse structurally
-    through this function, so a shared subtree is bracketed afresh only
-    when a request is finer than anything it has answered.  It never
+    Leaves answer on the dyadic grid over their witnesses that bisection
+    would walk, from their largest member numerator; composite nodes
+    recurse structurally through this function, so a shared subtree is
+    bracketed afresh only when a request is finer than anything it has
+    answered.  It never
     raises PrecisionBudgetExhausted: a difference searched for the
     separation of its operands when it was built.
     """
@@ -634,22 +642,8 @@ def _reach(b: Bracket) -> int:
     return lo.den * hi.den // (hi.num * lo.den - lo.num * hi.den)
 
 
-def _bisect(a: Leaf, lo: PosRational, hi: PosRational, n: int) -> Bracket:
-    # exact bisection between a member and a non-member; each step keeps
-    # the invariant lo in, hi out, and halves the gap
-    tol = PosRational(1, n)
-    while tol < hi - lo:
-        mid = halve(lo + hi)
-        if membership_leaf(a, mid):
-            lo = mid
-        else:
-            hi = mid
-    return Bracket(lo, hi)
-
-
-def _grid_bracket(a: RationalCut | RootCut, lo: PosRational, hi: PosRational,
-                  n: int) -> Bracket:
-    """The bracket `_bisect(a, lo, hi, n)` returns, found without a search.
+def _grid_bracket(a: Leaf, lo: PosRational, hi: PosRational, n: int) -> Bracket:
+    """The bracket bisection from lo to hi ends on at width 1/n, without the walk.
 
     Bisection halves the gap k times, for the fewest k that brings it
     under 1/n, and always keeps a cell of the level-k dyadic grid over

@@ -517,8 +517,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         # long "*" chain can still run out
         print("error: expression is too deep to evaluate", file=sys.stderr)
         return 2
-    except (ZeroDivisorAtPrecision, ZeroAtPrecision,
-            cut.PrecisionBudgetExhausted) as exc:
+    except (ZeroDivisorAtPrecision, cut.PrecisionBudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -29,6 +29,7 @@ from segreals.approx import SignedInterval
 from segreals.cut import (
     Difference,
     Inverse,
+    Leaf,
     OracleCut,
     Product,
     RationalCut,
@@ -37,6 +38,7 @@ from segreals.cut import (
     add,
     membership_leaf,
 )
+from segreals.qpos import halve
 from segreals.real import S_ONE
 
 
@@ -126,6 +128,19 @@ def leaf_member_oracle(leaf: Cut, x: PosRational) -> bool:
     if isinstance(leaf, OracleCut):
         return bool(leaf.member(x))
     raise TypeError(f"not a leaf: {type(leaf).__name__}")
+
+
+def _bisect(a: Leaf, lo: PosRational, hi: PosRational, n: int) -> Bracket:
+    # exact bisection between a member and a non-member; each step keeps
+    # the invariant lo in, hi out, and halves the gap
+    tol = PosRational(1, n)
+    while tol < hi - lo:
+        mid = halve(lo + hi)
+        if membership_leaf(a, mid):
+            lo = mid
+        else:
+            hi = mid
+    return Bracket(lo, hi)
 
 
 def bracket_stepwise(a: Cut, n: int) -> Bracket:

@@ -20,6 +20,7 @@ from segreals import (
     EmptyFamilyError,
     NotALeafError,
     NotAMemberError,
+    NotGreaterError,
     PosRational,
     PrecisionBudgetExhausted,
     ZeroAtPrecision,
@@ -41,7 +42,6 @@ from segreals import (
 from segreals.cut import (
     Inverse,
     Product,
-    _bisect,
     _grid_above,
     _grid_below,
     _grid_bits,
@@ -53,6 +53,7 @@ from segreals.cut import (
 )
 
 from support import (
+    _bisect,
     bracket_stepwise,
     brackets_overlap,
     fr,
@@ -69,7 +70,11 @@ from support import (
 small_rationals = st.builds(PosRational, st.integers(1, 40), st.integers(1, 40))
 rational_leaves = small_rationals.map(s_r)
 root_leaves = st.builds(root_cut, st.integers(2, 4), small_rationals)
-leaves = st.one_of(rational_leaves, root_leaves)
+# an oracle over a drawn rational or root leaf s: its predicate is Fraction
+# arithmetic, independent of the cut code, and its witnesses are s's
+oracle_leaves = st.one_of(rational_leaves, root_leaves).map(
+    lambda s: oracle_cut(lambda x: leaf_member_oracle(s, x), *s.witnesses()))
+leaves = st.one_of(rational_leaves, root_leaves, oracle_leaves)
 precisions = st.sampled_from([1, 2, 7, 10, 100, 1000, 10 ** 4])
 tiny_rationals = st.builds(PosRational, st.integers(1, 10 ** 6), st.integers(1, 10 ** 12))
 # up to 10^30, and just below and at powers of two, where root ceilings are tight
@@ -284,6 +289,20 @@ class TestClosedFormLeaves:
         assert bracket(root_cut(degree, radicand), n) \
             == bisected(root_cut(degree, radicand), n)
 
+    @given(oracle_leaves, wide_precisions)
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_leaf_equals_bisection(self, oracle, n):
+        # an oracle searches for its largest member numerator, but the
+        # bracket is still the one bisection from its witnesses ends on
+        assert bracket(oracle, n) == bisected(oracle, n)
+
+    @given(st.builds(PosRational, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)),
+           wide_precisions)
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_numerator_equals_the_closed_form(self, b, den):
+        oracle = oracle_cut(lambda x: x < b, q(b.num, b.den + 1), b)
+        assert oracle.largest_member_numerator(den) == s_r(b).largest_member_numerator(den)
+
     @pytest.mark.parametrize("degree, radicand, root, lo, hi", [
         (2, q(4), q(2), q(1), q(3)),  # the root is the first midpoint
         (3, q(8, 27), q(2, 3), q(1, 3), q(1)),
@@ -381,6 +400,17 @@ class TestCompositeBrackets:
 
     def test_difference_pinned_example(self):
         assert straddles(bracket(difference(s_r(q(1)), s_r(q(3))), 100), Fraction(2))
+
+    @pytest.mark.parametrize("lower, upper, width", [
+        (s_r(q(2)), s_r(q(1)), "1/1"),
+        (root_cut(2, q(3)), root_cut(2, q(2)), "1/4"),
+    ], ids=["rational", "root"])
+    def test_difference_in_the_wrong_order_says_so(self, lower, upper, width):
+        # brackets certify upper below lower long before the budget runs
+        # out, and the error is the one strict subtraction raises
+        with pytest.raises(NotGreaterError) as info:
+            difference(lower, upper)
+        assert str(info.value) == f"the upper operand is below the lower one at width {width}"
 
     def test_difference_of_equal_values_exhausts_budget(self):
         a = s_r(q(2))
