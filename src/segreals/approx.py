@@ -98,6 +98,8 @@ def _scaled_divmod(v: Fraction, scale: int) -> tuple[int, int]:
 
 def _format_scaled(units: int, digits: int) -> str:
     # `units` counts 10^-digits steps; render as fixed-point decimal, with
-    # at least one digit before the point
-    text = int_str(abs(units)).rjust(digits + 1, "0")
-    return f"{'-' if units < 0 else ''}{text[:-digits]}.{text[-digits:]}"
+    # at least one digit before the point.  The fraction is split off
+    # first, so an integer value converts no zeros
+    whole, fraction = divmod(abs(units), 10 ** digits)
+    text = int_str(fraction).rjust(digits, "0") if fraction else "0" * digits
+    return f"{'-' if units < 0 else ''}{int_str(whole)}.{text}"

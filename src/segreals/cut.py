@@ -93,6 +93,9 @@ MAX_ROOT_DEGREE = 5000
 # bracket never replaces a narrower one when threads refine one node.
 _STORE = threading.Lock()
 
+# A node's cache record before its first stored bracket: reach 0 serves no n.
+_NO_BRACKET: tuple[int, Bracket | None] = (0, None)
+
 
 class BadDegreeError(ValueError):
     """Root degree outside 2..MAX_ROOT_DEGREE requested."""
@@ -173,7 +176,7 @@ class Cut:
     _keeps_best = True
 
     def __init__(self, ceiling: int) -> None:
-        self._best: tuple[int, Bracket | None] = (0, None)
+        self._best = _NO_BRACKET
         self.ceiling = ceiling
 
     def contains(self, x: PosRational) -> bool:
@@ -189,18 +192,20 @@ class Cut:
 class Leaf(Cut):
     """A cut with exact membership `contains(x)` and `witnesses()` in/out.
 
-    Every kind is bracketed on the dyadic grid over its witnesses
-    (`_grid_bracket`) and climbed by `_climb`, both from the kind's
-    `largest_member_numerator` over a denominator.  On rational and root
-    leaves that is one integer division or k-th root and no membership
-    test, so their bracket is computed on every call and never cached.
+    Every kind is bracketed on the dyadic grid over its witnesses, read
+    as integer pairs (`_grid_bracket`), and climbed by `_climb`, both
+    from the kind's `largest_member_numerator` over a denominator.  On
+    rational and root leaves that is one integer division or k-th root
+    and no membership test, so their bracket is computed on every call
+    and never cached.
     """
 
     __slots__ = ()
     _keeps_best = False
 
     def _fresh(self, n: int) -> Bracket:
-        return _grid_bracket(self, *self.witnesses(), n)
+        lo, hi = self.witnesses()
+        return _grid_bracket(self, (lo.num, lo.den), (hi.num, hi.den), n)
 
     def _climb(self, x: PosRational) -> PosRational:
         # the largest member on the grid 1/(x.den * 2^k), for the first k
@@ -214,25 +219,35 @@ class Leaf(Cut):
 
 
 class RationalCut(Leaf):
-    """All positive rationals strictly below a given one."""
+    """All positive rationals strictly below a given one.
 
-    __slots__ = ("bound", "_witnesses")
+    Its witnesses are the bound, out, and the mediant of the bound with
+    the origin corner, (num, den + 1), in; a fresh bracket reads them as
+    integer pairs, so a rational leaf builds no rational of its own.
+    """
+
+    __slots__ = ("bound",)
 
     def __init__(self, bound: PosRational) -> None:
-        super().__init__(ceil_int(bound))
+        # the Cut slots, set here rather than through Cut.__init__: every
+        # signed literal builds two rational leaves
+        self._best = _NO_BRACKET
+        self.ceiling = ceil_int(bound)
         self.bound = bound
-        # mediant of the bound with the origin corner: always a member
-        self._witnesses = PosRational(bound.num, bound.den + 1), bound
 
     def contains(self, x: PosRational) -> bool:
         return x < self.bound
 
     def witnesses(self) -> tuple[PosRational, PosRational]:
-        return self._witnesses
+        return PosRational(self.bound.num, self.bound.den + 1), self.bound
 
     def largest_member_numerator(self, den: int) -> int:
         """The largest integer y with y/den a member: y*b.den < b.num*den."""
         return (self.bound.num * den - 1) // self.bound.den
+
+    def _fresh(self, n: int) -> Bracket:
+        num, den = self.bound.num, self.bound.den
+        return _grid_bracket(self, (num, den + 1), (num, den), n)
 
     def __repr__(self) -> str:
         return f"(s_r {self.bound})"
@@ -244,9 +259,11 @@ class RootCut(Leaf):
     __slots__ = ("degree", "radicand")
 
     def __init__(self, degree: int, radicand: PosRational) -> None:
-        # r <= ceil(r) < 2^b, so r^(1/k) < 2^ceil(b/k): O(1), where an
-        # integer k-th root would cost every leaf built
-        super().__init__(1 << -(-ceil_int(radicand).bit_length() // degree))
+        # the Cut slots are set here, as on a rational leaf; r <= ceil(r) < 2^b,
+        # so r^(1/k) < 2^ceil(b/k): O(1), where an integer k-th root would
+        # cost every leaf built
+        self._best = _NO_BRACKET
+        self.ceiling = 1 << -(-ceil_int(radicand).bit_length() // degree)
         self.degree = degree
         self.radicand = radicand
 
@@ -335,7 +352,10 @@ class Sum(Cut):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Cut, right: Cut) -> None:
-        super().__init__(left.ceiling + right.ceiling)
+        # the Cut slots, set here rather than through Cut.__init__: a sum
+        # is the node built most, two or three per "+" of a signed sum
+        self._best = _NO_BRACKET
+        self.ceiling = left.ceiling + right.ceiling
         self.left = left
         self.right = right
 
@@ -642,19 +662,22 @@ def _reach(b: Bracket) -> int:
     return lo.den * hi.den // (hi.num * lo.den - lo.num * hi.den)
 
 
-def _grid_bracket(a: Leaf, lo: PosRational, hi: PosRational, n: int) -> Bracket:
+def _grid_bracket(a: Leaf, lo: tuple[int, int], hi: tuple[int, int], n: int) -> Bracket:
     """The bracket bisection from lo to hi ends on at width 1/n, without the walk.
 
-    Bisection halves the gap k times, for the fewest k that brings it
-    under 1/n, and always keeps a cell of the level-k dyadic grid over
-    [lo, hi]: the unique cell whose left end is a member and whose right
-    end is not.  On the common denominator `grid` the grid points are
+    lo and hi are the witnesses as (num, den) pairs, which need not be
+    reduced: the grid points depend only on their values.  Bisection
+    halves the gap k times, for the fewest k that brings it under 1/n,
+    and always keeps a cell of the level-k dyadic grid over [lo, hi]:
+    the unique cell whose left end is a member and whose right end is
+    not.  On the common denominator `grid` the grid points are
     base + j*step, and the leaf names the largest member numerator over
     `grid` directly, so one integer division picks the cell.
     """
-    den = math.lcm(lo.den, hi.den)
-    base = lo.num * (den // lo.den)
-    step = hi.num * (den // hi.den) - base
+    (lo_num, lo_den), (hi_num, hi_den) = lo, hi
+    den = math.lcm(lo_den, hi_den)
+    base = lo_num * (den // lo_den)
+    step = hi_num * (den // hi_den) - base
     k = (-(-step * n // den) - 1).bit_length()  # 2^k >= ceil(gap * n)
     grid = den << k
     base <<= k

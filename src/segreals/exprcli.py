@@ -39,6 +39,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -199,7 +200,7 @@ Expr = Literal | Binary | Neg | Root
 _BINARY = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
 
 
-_OPERANDS_DONE = object()  # on `_walk`'s stack: the node under it has its operands done
+_OPERANDS_DONE = object()  # on `_walk`'s stack: the node two under it has its operands done
 
 
 def _walk(e: Expr, verb: str, *args: Any) -> Any:
@@ -207,18 +208,19 @@ def _walk(e: Expr, verb: str, *args: Any) -> Any:
     of a recursive post-order walk, operands left to right (so the first error is
     the same), but from an explicit stack; returns the root's result."""
     step = "_" + verb  # made once: a string built per node is hashed per lookup
-    todo: list = [e]  # nodes to visit; a visited node waits under the marker
+    # nodes to visit; a visited node waits under the marker and the index in
+    # `done` where its operands' results will start
+    todo: list = [e]
     done: list = []  # results waiting for their node's step
     while todo:
         e = todo.pop()
         if e is _OPERANDS_DONE:
-            e = todo.pop()
-            first = len(done) - len(e.operands)
+            first, e = todo.pop(), todo.pop()
             done[first:] = [getattr(e, step)(*args, *done[first:])]
         elif not isinstance(e, Expr):
             raise TypeError(f"cannot {verb} {type(e).__name__}")
         elif operands := e.operands:
-            todo += (e, _OPERANDS_DONE, *reversed(operands))
+            todo += (e, len(done), _OPERANDS_DONE, *reversed(operands))
         else:
             done.append(getattr(e, step)(*args))
     return done.pop()
@@ -255,36 +257,56 @@ class _Token(NamedTuple):
     offset: int
 
 
-# The token at each offset, read by one pattern: a run of whitespace
-# (skipped), of decimal digits or of letters, an operator, or any other
-# character, which is an error.  On str patterns \s is str.isspace and \d
-# is str.isdecimal, character by character, but [^\W\d_] also takes
-# numerals that are not letters, such as "²" or "Ⅻ".
-_TOKEN = re.compile(r"\s+|(\d+)|([^\W\d_]+)|([-+*/(),])|(.)", re.DOTALL)
+# A token is a run of decimal digits, a run of letters or an operator, and
+# one split on them reads the whole text: the parts alternate gap, token,
+# gap, ..., token, gap, and every gap must be whitespace.  On str patterns
+# \d is str.isdecimal, character by character, but [^\W\d_] also takes
+# numerals that are not letters, such as "²" or "Ⅻ", so a run it takes is
+# a name only when it is all letters.
+_TOKEN = re.compile(r"(\d+|[^\W\d_]+|[-+*/(),])")
+_OPERATORS = {c: c for c in "+-*/(),"}  # an operator's kind is its text
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        group, word, i = m.lastindex, m.group(), m.start()
-        if group == 2 and not word.isalpha():
-            # the letters end at the first numeral, which no token takes
-            i += next(k for k, c in enumerate(word) if not c.isalpha())
-            group, word = 4, text[i]
-        if group == 4:
-            raise ParseError(f"unexpected character {word!r}", i)
-        if group is not None:
-            tokens.append(_Token(("int", "name", word)[group - 1], word, i))
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+    parts = _TOKEN.split(text)
+    words = parts[1::2]
+    # None marks a run of letters and numerals
+    kinds = [_OPERATORS.get(w) or ("int" if w.isdecimal() else "name" if w.isalpha() else None)
+             for w in words]
+    gaps = "".join(parts[::2])
+    if gaps and not gaps.isspace() or None in kinds:
+        raise _first_error(parts)
+    kinds.append("end")
+    words.append("")
+    # a token starts where the gap before it ends, and "end" where the last gap does
+    starts = list(accumulate(map(len, parts)))[::2]
+    # tuple.__new__ makes each _Token from its fields with no Python-level call
+    return list(map(tuple.__new__, repeat(_Token), zip(kinds, words, starts)))
 
 
-def _int(tok: _Token) -> int:
-    """The value of an "int" token.
+def _first_error(parts: list[str]) -> ParseError:
+    """The error at the first character no token takes, in the parts of a
+    rejected text: a gap's first non-space, or a run's first non-letter
+    when it is no number or operator (the letters end at a numeral)."""
+    at = 0
+    for i, part in enumerate(parts):
+        if i % 2 == 0 or not (part in _OPERATORS or part.isdecimal()):
+            ok = str.isalpha if i % 2 else str.isspace
+            for k, c in enumerate(part):
+                if not ok(c):
+                    return ParseError(f"unexpected character {c!r}", at + k)
+        at += len(part)
+    raise AssertionError("no character of the text is rejected")
+
+
+def _int(tok: _Token, what: str | None = None) -> int:
+    """The value of a token that must be an "int", as `_expect` checks it.
 
     int() accepts every run of decimal digits, so only the interpreter's
     cap on the digits of one conversion can reject it.
     """
+    if tok.kind != "int":
+        _expect(tok, "int", what)
     try:
         return int(tok.text)
     except ValueError:
@@ -301,7 +323,7 @@ def _expect(tok: _Token, kind: str, what: str | None = None) -> _Token:
 
 def _literal(tokens: list[_Token], i: int) -> tuple[Literal, int]:
     """The rational literal at tokens[i], and the index after it."""
-    num = _int(_expect(tokens[i], "int", "a value"))
+    num = _int(tokens[i], "a value")
     # "/ nat" joins the literal unless nat is 0, which stays behind as a division
     if tokens[i + 1].kind == "/" and tokens[i + 2].kind == "int" \
             and (den := _int(tokens[i + 2])) > 0:
@@ -318,14 +340,14 @@ def _root_form(tokens: list[_Token], i: int) -> tuple[Root, int]:
     i += 2
     degree, deg_tok = 2, name  # sqrt's degree always passes the rule
     if name.text == "root":
-        degree = _int(deg_tok := _expect(tokens[i], "int"))
+        degree = _int(deg_tok := tokens[i])
         _expect(tokens[i + 1], ",")
         i += 2
     sign = tokens[i]  # the radicand's first token
     i += sign.kind == "-"
-    num, den = _int(_expect(tokens[i], "int", "a rational literal")), 1
+    num, den = _int(tokens[i], "a rational literal"), 1
     if tokens[i + 1].kind == "/":
-        den = _int(_expect(tokens[i + 2], "int"))
+        den = _int(tokens[i + 2])
         i += 2
     if sign.kind == "-" or num == 0 or den == 0:
         raise DomainError(_BAD_RADICAND, sign.offset)

@@ -18,6 +18,7 @@ from segreals import (
     root_cut,
     zero,
 )
+from segreals.qpos import int_str
 from segreals.real import mul, neg, sub
 
 from support import fr, interval_contains, oracle_decimal, q, sqrt_bounds
@@ -192,3 +193,20 @@ class TestScalingHelpers:
         assert _format_scaled(-1, 6) == "-0.000001"
         assert _format_scaled(1234, 2) == "12.34"
         assert _format_scaled(0, 3) == "0.000"
+
+    @given(st.integers(0, 10 ** 30), st.integers(1, 40),
+           st.sampled_from([0, 0, 1, 7, 10 ** 40 - 1]), st.booleans())
+    def test_format_scaled_prints_every_digit_of_the_units(self, whole, digits, fraction,
+                                                           negative):
+        # integer values, whose fraction is zero, are printed without
+        # converting the zeros, in the bytes of converting every digit
+        from segreals.approx import _format_scaled
+        units = (whole * 10 ** digits + fraction % 10 ** digits) * (-1 if negative else 1)
+        text = int_str(abs(units)).rjust(digits + 1, "0")
+        sign = "-" if units < 0 else ""
+        assert _format_scaled(units, digits) == f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+    def test_integer_values_past_the_int_conversion_cap(self):
+        # a zero fraction and a whole part longer than the 4 300-digit cap
+        assert decimal(g_embed(Fraction(-7)), 5000) == "-7." + "0" * 5000
+        assert decimal(g_embed(Fraction(10 ** 4400)), 2) == "1" + "0" * 4400 + ".00"

@@ -315,7 +315,7 @@ class TestClosedFormLeaves:
         # chosen witnesses put the root on the grid at every level these
         # precisions reach
         leaf = root_cut(degree, radicand)
-        b = _grid_bracket(leaf, lo, hi, n)
+        b = _grid_bracket(leaf, (lo.num, lo.den), (hi.num, hi.den), n)
         assert b == _bisect(leaf, lo, hi, n)
         assert b.hi == root
         assert bracket(leaf, n) == bisected(root_cut(degree, radicand), n)
@@ -674,7 +674,8 @@ class TestMemoisation:
         # the bytes of a later coarse one
         for n in (1, 7, 1000, 10 ** 6):
             bracket(leaf, 10 ** 40)
-            assert bracket(leaf, n) == _grid_bracket(leaf, *leaf.witnesses(), n)
+            lo, hi = leaf.witnesses()
+            assert bracket(leaf, n) == _grid_bracket(leaf, (lo.num, lo.den), (hi.num, hi.den), n)
 
     @given(st.sampled_from([2, 3, 5]),
            st.lists(signed_small, min_size=1, max_size=3),
@@ -1208,6 +1209,52 @@ class TestTraceHooks:
         before = tests["RootCut"]
         next_member_above(root_cut(3, q(5, 2)), q(1))  # the generic climb
         assert tests["RootCut"] > before
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """A one-element list counting PosRational constructions, through a
+    wrapper on __init__ as perfbench/spans.py counts them."""
+    count = [0]
+    plain_init = PosRational.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PosRational, "__init__", counting_init)
+    return count
+
+
+class TestConstructionCounts:
+    """A leaf reads its witnesses as integer pairs, so building one, and
+    a signed literal's two, makes no rational beyond its bounds."""
+
+    def test_rational_leaf_builds_none(self, constructions):
+        b = q(22, 7)
+        constructions[0] = 0
+        leaf = s_r(b)
+        assert constructions[0] == 0
+        bracket(leaf, 10 ** 6)  # its two endpoints, and no witness
+        assert constructions[0] == 2
+
+    @pytest.mark.parametrize("value", [Fraction(3, 7), Fraction(-22, 7), Fraction(5)])
+    def test_signed_literal_builds_two(self, constructions, value):
+        constructions[0] = 0
+        g_embed(value)
+        assert constructions[0] == 2
+
+    def test_mixed_sum_brackets_each_kind_as_before(self, counted):
+        # 40 terms, rationals and roots of degrees 2 to 5, added and
+        # subtracted; the counts are those the parent tree made
+        cut_module, brackets, _ = counted
+        terms = [[f"{k + 1}/{k % 7 + 2}", f"sqrt({k + 2}/3)", f"root({k % 3 + 3}, {k + 5})",
+                  f"{k}"][k % 4] for k in range(40)]
+        text = terms[0] + "".join(f" {'+' if k % 3 else '-'} {t}"
+                                  for k, t in enumerate(terms) if k)
+        value = exprcli.evaluate(exprcli.parse(text), 10 ** 8)
+        assert approx.decimal(value, 6) == "68.813212"
+        assert brackets == {"Sum": 2, "RationalCut": 22, "RootCut": 20}
 
 
 class TestSexpr:

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import os
+import random
 import re
 import subprocess
 import sys
@@ -385,6 +386,37 @@ class TestParse:
             assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
         else:
             assert [(t.kind, t.text, t.offset) for t in exprcli._tokenize(text)] == expected
+
+    @staticmethod
+    def long_sum():
+        """3 000 terms, each token followed by a run of tabs, newlines,
+        spaces, U+00A0 or U+3000 (or by nothing), over 25 000 characters."""
+        rng = random.Random(3000)
+        terms = ["1/3", "sqrt(2)", "root(3, 7/4)", "12", "-(5)", "4 * 2", "9/(2)"]
+        tokens = []
+        for k in range(3000):
+            tokens += [*re.findall(r"\d+|[a-z]+|\S", rng.choice(terms)), rng.choice("+-")]
+        return "".join(tok + "".join(rng.choices(" \t\n\u00a0\u3000", k=rng.randint(0, 3)))
+                       for tok in tokens[:-1])
+
+    def test_tokenizer_matches_the_character_loop_on_long_texts(self):
+        # offsets add up over thousands of tokens, and the first error wins
+        # however far into the text it comes
+        text = self.long_sum()
+        assert len(text) > 25_000
+        assert [(t.kind, t.text, t.offset) for t in exprcli._tokenize(text)] \
+            == _tokenize_by_characters(text)
+        for tail, bad in [(" @ 1", "@"),  # in a gap
+                          (" + sqrt²(2)", "²"),  # a numeral inside a name
+                          (" + ab²c $ 1", "²"),  # the numeral comes first
+                          (" $ ab²c", "$")]:  # the gap comes first
+            with pytest.raises(ParseError) as expected:
+                _tokenize_by_characters(text + tail)
+            with pytest.raises(ParseError) as got:
+                exprcli._tokenize(text + tail)
+            assert (str(got.value), got.value.offset) == (str(expected.value),
+                                                          expected.value.offset)
+            assert got.value.offset == len(text) + tail.index(bad) > 10_000
 
     @pytest.mark.parametrize("text, offset", [
         ("1 + " + "7" * 5000, 4),
