@@ -21,13 +21,15 @@ and names its largest member numerator over a given denominator, from
 which it is bracketed and climbs (behind ``next_member_above``).
 ``bracket`` is the single entry point; it validates the precision and
 owns the cache, and composite nodes recurse through it, never through
-each other's ``_fresh``.  A sum is the one exception to one bracket
-per node: a sum subtree is bracketed as one sum of its k terms, each
-asked at n*2^ceil(log2 k), without recursion, so a chain of sums costs
-neither a bracket nor a halving of the tolerance per level.  A term that
-occurs several times in the subtree, like the S_1 leaf every signed term
-carries, is bracketed once and counted by its multiplicity; k still
-counts every occurrence.  The cache is one slot per node, and a node's
+each other's ``_fresh``.  A sum holds a tuple of terms, so a chain of
+k terms is one node, and it is the one exception to one bracket per
+node: a sum subtree, a sum and the unbracketed sums nested among its
+terms, is bracketed as one sum of its k terms, each asked at
+n*2^ceil(log2 k), without recursion, so nesting costs neither a bracket
+nor a halving of the tolerance per level.  A term that occurs several
+times in the subtree, like the S_1 leaf every signed term carries, is
+bracketed once and counted by its multiplicity; k still counts every
+occurrence.  The cache is one slot per node, and a node's
 only mutable state: the tightest bracket seen so far.  A bracket of
 width w answers every request with w*n <= 1, so a shared node asked at
 several precisions is computed once per refinement, not once per
@@ -43,7 +45,7 @@ Every node also carries a ``ceiling``: an integer at or above its
 value, so a non-member, fixed when the node is built, without recursion.
 A rational leaf takes its bound rounded up, a root leaf a power of two
 from the bit length of its radicand, an oracle leaf its outside witness
-rounded up; a sum adds its operands' ceilings, a product multiplies
+rounded up; a sum adds its terms' ceilings, a product multiplies
 them, a finite sup takes their largest and a difference its upper
 operand's.  An inverse brackets its operand once, at n = 1, when it is
 built, and keeps that bracket's lower end x0, a member of the operand:
@@ -336,42 +338,45 @@ class OracleCut(Leaf):
 
 
 class Sum(Cut):
-    """Pairwise sums of members of the two operands.
+    """The sums t_1 + ... + t_k of one member of each of its k terms.
 
-    A chain of sums is one sum of k terms, and is bracketed in one pass:
-    `_fresh` gathers the terms of the whole sum subtree and asks each
-    for width 1/(n*2^j), with 2^j the least power of two >= k, so the k
-    widths add up to at most 1/n.  A two-term sum asks each side at 2n,
-    and no term is asked finer than about 2kn however deep the chain.
-    Each distinct term, by identity, is bracketed once and counted by its
-    multiplicity, where k counts every occurrence: a leaf's second
-    bracket at the same precision would be the same closed form, and a
-    composite's its stored one.
+    Its terms are a tuple, left to right, so a chain of k terms is one
+    node.  It is bracketed in one pass together with the sums nested
+    among its terms that hold no bracket yet, such as the C + S_1 of a
+    signed term: `_fresh` gathers the terms of the whole sum subtree and
+    asks each for width 1/(n*2^j), with 2^j the least power of two >= k,
+    so the k widths add up to at most 1/n.  A two-term sum asks each
+    side at 2n, and no term is asked finer than about 2kn however deep
+    the subtree.  Each distinct term, by identity, is bracketed once and
+    counted by its multiplicity, where k counts every occurrence: a
+    leaf's second bracket at the same precision would be the same closed
+    form, and a composite's its stored one.  `add` and `add_all` build
+    it, with the sum of the terms' ceilings.
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ("terms",)
 
-    def __init__(self, left: Cut, right: Cut) -> None:
+    def __init__(self, terms: tuple[Cut, ...], ceiling: int) -> None:
         # the Cut slots, set here rather than through Cut.__init__: a sum
-        # is the node built most, two or three per "+" of a signed sum
+        # is the node built most, one per signed root and one per
+        # component of each "+"/"-" chain
         self._best = _NO_BRACKET
-        self.ceiling = left.ceiling + right.ceiling
-        self.left = left
-        self.right = right
+        self.ceiling = ceiling
+        self.terms = terms
 
     def _fresh(self, n: int) -> Bracket:
-        # the terms, left to right: a nested sum is opened into its
-        # operands unless it holds a bracket already, or was opened before
-        # in this pass; then it stays one term, refined through its own
-        # cache, and a sum that doubles a shared one costs its depth, not
-        # 2^depth; each term is counted by identity, in first-occurrence
-        # order, and bracketed once
-        counts, opened, stack = {}, set(), [self.right, self.left]
+        # the terms, left to right: a nested sum is opened into its terms
+        # unless it holds a bracket already, or was opened before in this
+        # pass; then it stays one term, refined through its own cache, and
+        # a sum that doubles a shared one costs its depth, not 2^depth;
+        # each term is counted by identity, in first-occurrence order, and
+        # bracketed once
+        counts, opened, stack = {}, set(), [*self.terms[::-1]]
         while stack:
             c = stack.pop()
             if isinstance(c, Sum) and c._best[1] is None and id(c) not in opened:
                 opened.add(id(c))
-                stack += (c.right, c.left)
+                stack += c.terms[::-1]
             else:
                 counts[c] = counts.get(c, 0) + 1
         # the widths add up over all k occurrences, so k, not the number
@@ -382,7 +387,7 @@ class Sum(Cut):
                        _total([(p.hi, k) for p, k in parts]))
 
     def __repr__(self) -> str:
-        return f"(sum {self.left!r} {self.right!r})"
+        return f"(sum {' '.join(map(repr, self.terms))})"
 
 
 class Product(Cut):
@@ -570,7 +575,17 @@ def oracle_cut(member: Callable[[PosRational], bool],
 
 
 def add(a: Cut, b: Cut) -> Sum:
-    return Sum(a, b)
+    """The two-term sum a + b: `add_all((a, b))`, its ceiling added directly."""
+    return Sum((a, b), a.ceiling + b.ceiling)
+
+
+def add_all(terms: Iterable[Cut]) -> Sum:
+    """The sum of two or more terms, left to right, as one node."""
+    terms = tuple(terms)
+    ceiling = 0
+    for t in terms:
+        ceiling += t.ceiling
+    return Sum(terms, ceiling)
 
 
 def mul(a: Cut, b: Cut) -> Product:

@@ -116,7 +116,9 @@ class Literal:
 
 @dataclass(frozen=True)
 class Binary:
-    """An infix operator; each subclass names its `symbol` and `combine`."""
+    """An infix operator; each subclass names its `symbol`.  A product or a
+    quotient is one step, `combine` on its two operands' results; a "+" or
+    "-" is a `Chain`, one step for all the terms of its chain."""
 
     left: Expr
     right: Expr
@@ -134,12 +136,48 @@ class Binary:
         return f"{x} {self.symbol} {y}"
 
 
-class Add(Binary):
-    symbol, combine = "+", staticmethod(real.add)
+class Chain(Binary):
+    """A "+" or "-", with the maximal left-associated chain of them it tops:
+    the nodes down its left spine.  Their right operands, and the last one's
+    left operand, are the chain's terms, and the chain is one step, given
+    the terms' results left to right as its operands, so its inner nodes
+    get no step of their own.  A "+" or "-" never raises, so the first
+    error still comes from the same term."""
+
+    def _chain(self) -> tuple[list[Expr], list[bool]]:
+        """The terms, left to right, and for each whether it is subtracted."""
+        terms, subtracted, e = [], [], self
+        while (minus := _SUBTRACTS.get(type(e))) is not None:
+            terms.append(e.right)
+            subtracted.append(minus)
+            e = e.left
+        terms.append(e)
+        subtracted.append(False)
+        terms.reverse()
+        subtracted.reverse()
+        return terms, subtracted
+
+    operands = property(lambda self: self._chain()[0])
+
+    def _evaluate(self, n: int, budget: int | None, *xs: Real) -> Real:
+        return real.add_all(xs, self._chain()[1])
+
+    def _render(self, *xs: str) -> str:
+        # the text of the left-deep binary nodes: no term binds more loosely
+        # than "+", and a later term that is a chain itself is parenthesised
+        terms, subtracted = self._chain()
+        parts = [xs[0]]
+        for t, x, minus in zip(terms[1:], xs[1:], subtracted[1:]):
+            parts += (" - " if minus else " + ", f"({x})" if t.precedence <= 0 else x)
+        return "".join(parts)
 
 
-class Sub(Binary):
-    symbol, combine = "-", staticmethod(real.sub)
+class Add(Chain):
+    symbol = "+"
+
+
+class Sub(Chain):
+    symbol = "-"
 
 
 class Mul(Binary):
@@ -198,6 +236,7 @@ class Root:
 
 Expr = Literal | Binary | Neg | Root
 _BINARY = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
+_SUBTRACTS = {Add: False, Sub: True}  # the links of a chain, by exact type
 
 
 _OPERANDS_DONE = object()  # on `_walk`'s stack: the node two under it has its operands done
@@ -206,7 +245,9 @@ _OPERANDS_DONE = object()  # on `_walk`'s stack: the node two under it has its o
 def _walk(e: Expr, verb: str, *args: Any) -> Any:
     """Each node's step `_<verb>(*args, *its operands' results)`, run in the order
     of a recursive post-order walk, operands left to right (so the first error is
-    the same), but from an explicit stack; returns the root's result."""
+    the same), but from an explicit stack; returns the root's result.  A node's
+    operands are what it lists: a "+"/"-" chain lists its terms, so its inner
+    links are never visited and a chain of k terms is one step, not k - 1."""
     step = "_" + verb  # made once: a string built per node is hashed per lookup
     # nodes to visit; a visited node waits under the marker and the index in
     # `done` where its operands' results will start

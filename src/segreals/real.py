@@ -4,20 +4,23 @@ A real is a pair (pos, neg) standing for the value of pos minus the
 value of neg.  Two pairs denote the same number exactly when cross sums
 agree, but that equality is never decided here; all observations go
 through brackets of the two components and carry their precision with
-them.  Addition is componentwise, and `neg` swaps the components: it is
-the one place a pair is mirrored.
+them.  `neg` swaps the components.  A sum of k signed terms, such as
+x - y + z, is one step, `add_all`: each component is one cut sum of k
+terms, the terms' components, a subtracted term's swapped, so a sum
+builds one real and two or three cut sums whatever its length; `add`
+and `sub` are its two-term cases.
 
 A real built as a literal, a root or an inverse also knows its sign
 from how it was built (an inverse from the certificate `inv` needs
 anyway): its `magnitude` is the positive cut C whose value is its
 absolute value, and it is (C + S_1, S_1), negated when `negative`.
-Negation keeps what is known, and a sum of same-sign terms records
-that sign: its pair is the componentwise sum, and its magnitude the sum
-of theirs.  Multiplication uses what the factors know: two factors of
-known sign multiply their magnitudes in one product, one factor of
-known sign, magnitude C, scales the other's components as (C*c, C*d),
-and only when neither sign is known is the formal product of
-differences expanded:
+Negation keeps what is known, and a sum whose terms all know the same
+sign, a subtracted term's flipped, records that sign, with the sum of
+their magnitudes as its magnitude.  Multiplication uses what the
+factors know: two factors of known sign multiply their magnitudes in
+one product, one factor of known sign, magnitude C, scales the other's
+components as (C*c, C*d), and only when neither sign is known is the
+formal product of differences expanded:
 
     (a - b) * (c - d)  =  (ac + bd) - (ad + bc)
 
@@ -34,6 +37,7 @@ magnitude the divisor knows, or else that C.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import cut
 from .qpos import ONE, PosRational, int_str
@@ -77,14 +81,18 @@ Indeterminate = IndistinguishableFromZero
 SignVerdict = Positive | Negative | IndistinguishableFromZero
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class Real:
     """A formal difference of two cuts.  Identity-based equality only.
 
-    A sign known from how it was built (see `signed` and `add`) is
+    A sign known from how it was built (see `signed` and `add_all`) is
     recorded once: the value is the positive cut `magnitude`'s, negated
     when `negative`.  Otherwise `magnitude` is None and `negative` False.
-    Only `mul`, `add` and `inv` read them.
+    Only `mul`, `add_all` and `inv` read them.  Nothing assigns a field
+    after a real is built; the class is not frozen because a frozen
+    dataclass sets each field through `object.__setattr__`, which made
+    building a real, the step every term and every sum takes, four times
+    as slow.
     """
 
     pos: Cut
@@ -126,21 +134,46 @@ def zero() -> Real:
     return Real(S_ONE, S_ONE)
 
 
+def add_all(terms: Sequence[Real], subtracted: Sequence[bool]) -> Real:
+    """The sum of the terms, left to right, each one subtracted where
+    `subtracted` says so: one cut sum per component.
+
+    Each component is the componentwise sum, a subtracted term's
+    components swapped.  The sum knows its sign only when every term
+    knows the same one, a subtracted term's flipped: its magnitude is
+    then the sum of theirs.
+    """
+    pos, neg_ = [], []
+    # the sign every term knows so far, None once one knows none or another
+    negative = terms[0].negative != subtracted[0]
+    for x, minus in zip(terms, subtracted):
+        if minus:
+            pos.append(x.neg)
+            neg_.append(x.pos)
+        else:
+            pos.append(x.pos)
+            neg_.append(x.neg)
+        if x.magnitude is None or (x.negative != minus) != negative:
+            negative = None
+    if negative is None:
+        return Real(cut.add_all(pos), cut.add_all(neg_))
+    return Real(cut.add_all(pos), cut.add_all(neg_),
+                cut.add_all([x.magnitude for x in terms]), negative)
+
+
 def add(x: Real, y: Real) -> Real:
-    """The componentwise sum; terms of one known sign add their magnitudes too."""
-    pos, neg_ = cut.add(x.pos, y.pos), cut.add(x.neg, y.neg)
-    if x.magnitude is None or y.magnitude is None or x.negative != y.negative:
-        return Real(pos, neg_)
-    return Real(pos, neg_, cut.add(x.magnitude, y.magnitude), x.negative)
+    """x + y, the two-term case of `add_all`."""
+    return add_all((x, y), (False, False))
+
+
+def sub(x: Real, y: Real) -> Real:
+    """x - y, the two-term case of `add_all`."""
+    return add_all((x, y), (False, True))
 
 
 def neg(x: Real) -> Real:
     """The mirrored pair (neg, pos); a known sign flips with it."""
     return Real(x.neg, x.pos, x.magnitude, x.magnitude is not None and not x.negative)
-
-
-def sub(x: Real, y: Real) -> Real:
-    return add(x, neg(y))
 
 
 def mul(x: Real, y: Real) -> Real:

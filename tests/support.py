@@ -229,8 +229,8 @@ def surd_values(roots: list, p: int) -> dict:
             assert (c.degree, c.radicand) == (2, q(p))
             v = Fraction(0), Fraction(1)
         elif isinstance(c, Sum):
-            (a, b), (x, y) = value(c.left), value(c.right)
-            v = a + x, b + y
+            parts = [value(t) for t in c.terms]
+            v = sum(a for a, _ in parts), sum(b for _, b in parts)
         elif isinstance(c, Product):
             (a, b), (x, y) = value(c.left), value(c.right)
             v = a * x + b * y * p, a * y + b * x

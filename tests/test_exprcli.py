@@ -24,6 +24,7 @@ from segreals import (
     exprcli,
     parse,
     rational_interval,
+    real,
     unparse,
 )
 from segreals.exprcli import (
@@ -521,6 +522,12 @@ class TestUnparse:
         ("2 / 1/3", "2 / (3)"),
         ("1 - (2 - 3)", "1 - (2 - 3)"),
         ("(1 - 2) - 3", "1 - 2 - 3"),
+        ("1 - (2 - 3) + sqrt(2) - -4", "1 - (2 - 3) + root(2, 2) - -4"),
+        ("1/2 - 3 * (4 + 5) + -(6 - 7) - 8 / (9 - 1)",
+         "1/2 - 3 * (4 + 5) + -(6 - 7) - 8 / (9 - 1)"),
+        ("(1 + 2) - (3 + 4 - 5) + (6)", "1 + 2 - (3 + 4 - 5) + 6"),
+        ("-1 + 2/3 - root(3, 5/2) * 2 - 0", "-1 + 2/3 - root(3, 5/2) * 2 - 0"),
+        ("1 - (2 + (3 - (4 + 5)))", "1 - (2 + (3 - (4 + 5)))"),
         ("-(1 + 2) * 3", "-(1 + 2) * 3"),
         ("-(1 * 2)", "-(1 * 2)"),
         ("(1 + 2) * 3", "(1 + 2) * 3"),
@@ -679,6 +686,89 @@ class TestEvaluate:
             return
         b = rational_interval(evaluate(swap(tree), n), n)
         assert not (a.hi < b.lo or b.hi < a.lo)
+
+
+def _chain_of(pairs):
+    """The left-associated "+"/"-" chain of (subtracted, term) pairs; the
+    first pair's flag is not read."""
+    e = pairs[0][1]
+    for minus, t in pairs[1:]:
+        e = (Sub if minus else Add)(e, t)
+    return e
+
+
+# terms of a chain: literals, 0 and negatives too (a negative Literal only
+# a hand-built tree holds), roots, negations, products, quotients and
+# parenthesised sub-chains
+_chain_leaves = st.one_of(
+    st.builds(lambda n, d: lit(n, d), st.integers(-9, 9), st.integers(1, 5)),
+    st.builds(Root, st.integers(2, 4),
+              st.builds(lambda n, d: lit(n, d), st.integers(1, 9), st.integers(1, 5))),
+)
+_divisors = _chain_leaves.filter(lambda e: not (isinstance(e, Literal) and e.value == 0))
+_chain_terms = st.one_of(
+    _chain_leaves,
+    st.builds(Neg, _chain_leaves),
+    st.builds(Mul, _chain_leaves, _chain_leaves),
+    st.builds(Div, _chain_leaves, _divisors),
+    st.lists(st.tuples(st.booleans(), _chain_leaves), min_size=2, max_size=3).map(_chain_of),
+)
+
+
+class TestSumChains:
+    """A "+"/"-" chain is one step of the walk, and its sum one cut sum per
+    component."""
+
+    @given(st.lists(st.tuples(st.booleans(), _chain_terms), min_size=2, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_chain_brackets_as_the_fold_of_add_and_sub(self, pairs):
+        # the fold's terms are evaluated apart from the chain's, so neither
+        # side's requests reach the other's nodes
+        n = 10 ** 6
+        chain = evaluate(_chain_of(pairs), n)
+        terms = [evaluate(t, n) for _, t in pairs]
+        fold = terms[0]
+        for (minus, _), x in zip(pairs[1:], terms[1:]):
+            fold = (real.sub if minus else real.add)(fold, x)
+        assert chain.negative == fold.negative
+        assert (chain.magnitude is None) == (fold.magnitude is None)
+        for m in (1, 10 ** 6, 2 ** 80):
+            for part in ("pos", "neg", "magnitude"):
+                a, b = getattr(chain, part), getattr(fold, part)
+                if a is not None:
+                    ba, bb = cut.bracket(a, m), cut.bracket(b, m)
+                    assert (ba.lo, ba.hi) == (bb.lo, bb.hi)
+
+    @pytest.mark.parametrize("k", [2, 3, 40])
+    @pytest.mark.parametrize("signs", ["same", "mixed"])
+    def test_a_chain_builds_one_sum_per_component(self, monkeypatch, k, signs):
+        built = []
+        plain_init = cut.Sum.__init__
+
+        def recording(self, *args):
+            built.append(self)
+            plain_init(self, *args)
+
+        monkeypatch.setattr(cut.Sum, "__init__", recording)
+        ops = ["+"] * (k - 1) if signs == "same" else ["-+"[j % 2] for j in range(k - 1)]
+        text = "1/2" + "".join(f" {op} {j + 2}/3" for j, op in enumerate(ops))
+        x = evaluate(parse(text), 10)
+        # terms of one sign also record the sum of their magnitudes
+        components = [x.pos, x.neg] + ([x.magnitude] if signs == "same" else [])
+        assert built == components
+        assert [len(c.terms) for c in built] == [k] * len(components)
+
+    def test_twenty_thousand_terms_at_the_default_recursion_limit(self):
+        # evaluating, rendering and printing a chain are iterative, and its
+        # text is joined once
+        text = "1" + " - 1/3 + 1/3" * 9999 + " - 1/3"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert unparse(parse(text)) == text
+            assert run_cli(["eval", text]) == (0, "0.6666666667\n", "")
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestCli:

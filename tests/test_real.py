@@ -250,7 +250,7 @@ class TestCanonicalize:
         assert c.negative == (surd_sign(a, b, p) < 0)
         shift, gap = (c.pos, c.neg) if c.negative else (c.neg, c.pos)
         assert shift is real.S_ONE
-        assert isinstance(gap, Sum) and gap.left is c.magnitude and gap.right is real.S_ONE
+        assert isinstance(gap, Sum) and gap.terms == (c.magnitude, real.S_ONE)
         iv = rational_interval(c, 10 ** 6)
         assert surd_sign(a - iv.lo, b, p) >= 0 and surd_sign(iv.hi - a, -b, p) >= 0
 
@@ -396,6 +396,7 @@ def _products(x: Real) -> int:
             count += isinstance(c, Product)
             stack += [getattr(c, k) for k in ("left", "right", "operand", "lower", "upper")
                       if hasattr(c, k)]
+            stack += getattr(c, "terms", ())
     return count
 
 
@@ -429,9 +430,9 @@ class TestSignRecord:
         c = root_cut(2, q(2))
         x = real.signed(c, True)
         assert x.pos is real.S_ONE and x.magnitude is c and x.negative
-        assert x.neg.left is c and x.neg.right is real.S_ONE
+        assert x.neg.terms == (c, real.S_ONE)
         y = real.signed(c)
-        assert y.neg is real.S_ONE and not y.negative and y.pos.left is c
+        assert y.neg is real.S_ONE and not y.negative and y.pos.terms[0] is c
 
     @pytest.mark.parametrize("r", [Fraction(1), Fraction(3, 4), Fraction(22, 7)])
     def test_negative_literal_swaps_the_components(self, r):
@@ -484,7 +485,7 @@ class TestSignRecord:
         assert y.magnitude is x.magnitude and y.negative
         assert rational_interval(y, 100).hi < 0
         z = add(y, g_embed(-1))
-        assert z.negative and z.magnitude.left is x.magnitude
+        assert z.negative and z.magnitude.terms[0] is x.magnitude
 
     def test_indeterminate_is_indistinguishable_from_zero(self):
         assert Indeterminate is IndistinguishableFromZero
