@@ -89,6 +89,9 @@ DEFAULT_BUDGET = 2 ** 64
 # Largest root degree `root_cut` accepts.  Bracketing a root raises
 # integers to the degree-th power, so an unbounded degree is unbounded
 # work; at this cap root(k, 999/998) prints 30 digits well within a second.
+# The cost grows with the digits too: root(4999, 2) takes about 0.1 s at
+# 30 digits, 1 s at 100, 3 s at 200 and two minutes at 2 000 (Python 3.11,
+# one run each).  ROADMAP item 3 bounds it.
 MAX_ROOT_DEGREE = 5000
 
 # Serialises the check-and-store of a node's best bracket, so a wider

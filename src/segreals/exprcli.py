@@ -40,7 +40,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import approx, cut, real
@@ -222,9 +221,13 @@ class Root:
     operands, precedence = (), _TIGHT
 
     def _evaluate(self, n: int, budget: int | None) -> Real:
+        value = self.radicand.value
+        try:  # as `g_embed` reads a literal: a float or a Decimal has neither
+            num, den = value.numerator, value.denominator
+        except AttributeError:
+            raise TypeError(f"a root radicand is a Fraction or an int, got {value!r}") from None
         try:
-            radicand = PosRational(*self.radicand.value.as_integer_ratio())
-            return f_embed(cut.root_cut(self.degree, radicand))
+            return f_embed(cut.root_cut(self.degree, PosRational(num, den)))
         except NonPositiveError:
             raise DomainError(_BAD_RADICAND) from None
         except cut.BadDegreeError as exc:
@@ -459,11 +462,11 @@ def _parse_width(text: str) -> int:
 def _load_config() -> dict:
     """Read key = value pairs from reals.toml in the working directory."""
     settings = {}
-    path = Path(CONFIG_FILE)
-    if not path.is_file():
+    if not os.path.isfile(CONFIG_FILE):  # a directory or a dangling link is skipped
         return settings
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(CONFIG_FILE, encoding="utf-8-sig") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {CONFIG_FILE}: {exc}") from None
     for line in text.splitlines():
@@ -504,7 +507,8 @@ def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
 
 
 @functools.cache
-def _build_argparser() -> argparse.ArgumentParser:
+def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser, and the parser of each command word it routes to."""
     parser = argparse.ArgumentParser(
         prog="reals",
         description="Exact real arithmetic with certified output.")
@@ -536,19 +540,43 @@ def _build_argparser() -> argparse.ArgumentParser:
     # would) switches the pass-through off.
     for command in (ev, cp):
         command._negative_number_matcher = re.compile(r"^-(?!-)")
-    return parser
+    return parser, {"eval": ev, "compare": cp}
+
+
+def _read_args(argv: list[str]) -> argparse.Namespace:
+    """`argv` read as the root parser reads it, in one pass where it can be.
+
+    The root parser only hands every argument after the command word to
+    that command's parser, so the command word picks the parser here.  A
+    line that starts with no command word, or leaves an argument over,
+    goes to the root parser whole, and argparse prints what `reals` says
+    about it.  Like `parse_args`, this exits through SystemExit.
+    """
+    root, commands = _build_argparser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return root.parse_args(argv)
 
 
 def cli_main(argv: list[str] | None = None) -> int:
     """Run one `reals` command and return its exit code instead of exiting.
 
-    Every call reads its inputs afresh: `argv`, reals.toml in the working
-    directory, $REALS_BUDGET, and `sys.stdout`/`sys.stderr` as they are
-    at the call.  The argument parser is built once per process and is
-    only read while parsing.
+    Every call reads its inputs afresh: `argv` (`sys.argv[1:]` when it is
+    None), reals.toml in the working directory, $REALS_BUDGET, and
+    `sys.stdout`/`sys.stderr` as they are at the call.  The argument
+    parsers are built once per process and are only read while parsing.
+    The command word routes the rest of `argv` to its own parser, which
+    reads it in one pass; a line with no command word, or with an
+    argument that parser leaves over, is read again by the root parser,
+    whose diagnostic argparse prints.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_argparser().parse_args(argv)
+        args = _read_args(argv)
     except SystemExit as exit_:  # argparse already printed the diagnostic
         return int(exit_.code or 0)
 

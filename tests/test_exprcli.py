@@ -1,13 +1,16 @@
 """Expression grammar, evaluation, and the command line contract."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import os
 import random
 import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -655,6 +658,18 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(Root(1, lit(2)), 10)
 
+    @pytest.mark.parametrize("value", [2.5, Decimal("2.5")])
+    def test_hand_built_root_takes_no_float(self, value):
+        # a radicand is read as `g_embed` reads a literal: no float anywhere
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            evaluate(Root(2, Literal(value)), 10 ** 7)
+        with pytest.raises(TypeError):
+            evaluate(Literal(value), 10 ** 7)
+
+    def test_hand_built_root_of_an_int(self):
+        assert rational_interval(evaluate(Root(3, Literal(2)), 10 ** 6), 10 ** 6) == \
+            rational_interval(evaluate(Root(3, lit(2)), 10 ** 6), 10 ** 6)
+
     def test_hand_built_root_degree_capped(self):
         # the cap is the library's, not only the parser's
         with pytest.raises(DomainError) as exc:
@@ -1154,6 +1169,21 @@ class TestCliConfig:
         assert run_cli(["eval", "1/(1/3)"]) == (0, "3.00000\n", "")
 
 
+class TestConfigProbe:
+    def test_a_directory_named_reals_toml_is_skipped(self, tmp_path, monkeypatch):
+        (tmp_path / "reals.toml").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["eval", "1/3"]) == (0, "0.3333333333\n", "")
+
+    def test_a_dangling_link_named_reals_toml_is_skipped(self, tmp_path, monkeypatch):
+        try:
+            (tmp_path / "reals.toml").symlink_to(tmp_path / "gone.toml")
+        except OSError:
+            pytest.skip("no symbolic links here")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["eval", "1/3"]) == (0, "0.3333333333\n", "")
+
+
 # argparse errors first, then help, leading minus signs and answers, so a
 # parser that kept state from a failed parse would show it
 _SHARED_PARSER_ARGVS = [
@@ -1216,3 +1246,68 @@ class TestSharedArgparser:
         assert shared[-2] != shared[-1]
         assert [code for code, _, _ in shared[:5]] == [2] * 5
         assert shared[5][1].startswith("usage: reals eval")
+
+
+# Lines the command word's own parser reads whole, and lines it leaves an
+# argument of, or that start with no command word, which the root parser reads
+_ROUTING_ARGVS = _SHARED_PARSER_ARGVS + [
+    ["-h"], ["--help"], ["eval"], ["compare"], ["compare", "1"],
+    ["eval", "--", "-h"], ["eval", "--", "--digits"], ["eval", "1", "--"],
+    ["compare", "1", "--", "-2"], ["eval", "1", "--", "--"],
+    ["eval", "1", "--dig", "3"], ["eval", "1", "--h"], ["compare", "1", "2", "--h"],
+    ["compare", "1", "2", "--prec", "1/10"], ["eval", "1", "--digits=3"],
+    ["eval", "--dig=3", "1"], ["compare", "1", "2", "--precision=1/10"],
+    ["eval", "1", "--in", "1/10"], ["eval", "1", "--budget=5"],
+    ["eval", "1", "--digits", "-3"], ["eval", "1", "--digits", "3", "--digits", "4"],
+    ["eval", "--interval", "1/10", "1", "--digits", "3"], ["eval", "1", "--digits"],
+    ["eval", "1", "2"], ["compare", "1", "2", "3"], ["eval", "1", "-x"], ["eval", "-x"],
+    ["-x", "eval", "1"], ["--", "eval", "1"], ["--", "compare", "1", "2"],
+    ["-h", "eval"], ["eval", "1", "--help"], ["ev", "1"], ["EVAL", "1"], ["1"],
+]
+
+
+def _read_with(read, argv):
+    """What reading `argv` gives: the Namespace, or the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = read(argv)
+        except SystemExit as exit_:
+            return exit_.code, out.getvalue(), err.getvalue()
+    assert out.getvalue() == err.getvalue() == ""
+    return args
+
+
+class TestArgumentRouting:
+    @pytest.mark.parametrize("argv", _ROUTING_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+    def test_routed_read_is_the_root_parsers(self, monkeypatch, argv):
+        root = exprcli._build_argparser()[0]
+        for columns in ("40", "140"):  # help and usage wrap to $COLUMNS
+            monkeypatch.setenv("COLUMNS", columns)
+            assert _read_with(exprcli._read_args, argv) == _read_with(root.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [["eval", "sqrt(2)", "--digits", "8"],
+                                      ["eval", "--interval", "1/10", "--", "-5/2"],
+                                      ["compare", "1", "2", "--precision", "1/10"]])
+    def test_a_well_formed_line_is_read_once(self, monkeypatch, argv):
+        # the root parser is not asked, and the command's parser reads once
+        root, commands = exprcli._build_argparser()
+        reads = []
+        monkeypatch.setattr(root, "parse_known_args", lambda *a: reads.append("root"))
+        parse_known_args = commands[argv[0]].parse_known_args
+
+        def counted(*args):
+            reads.append(argv[0])
+            return parse_known_args(*args)
+
+        monkeypatch.setattr(commands[argv[0]], "parse_known_args", counted)
+        assert run_cli(argv)[0] == 0
+        assert reads == [argv[0]]
+
+    def test_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["reals", "eval", "1/4", "--digits", "2"])
+        assert run_cli(None) == (0, "0.25\n", "")
+        monkeypatch.setattr(sys, "argv", ["reals", "eval", "1", "2"])
+        code, out, err = run_cli(None)
+        assert (code, out) == (2, "")
+        assert err.endswith("reals: error: unrecognized arguments: 2\n")
