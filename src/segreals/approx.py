@@ -3,10 +3,10 @@
 The interval returned for a real provably contains its value: the lower
 end subtracts an over-estimate of the negative component from an
 under-estimate of the positive one, and symmetrically for the upper
-end.  Decimal output is derived from such an interval two guard digits
-finer than requested, so a plain digit string is only ever printed when
-both ends of the enclosure round to it; anything less certain is shown
-as an explicit interval.
+end.  Decimal output is derived from such an interval `GUARD_DIGITS`
+digits finer than requested, so a plain digit string is only ever
+printed when both ends of the enclosure round to it; anything less
+certain is shown as an explicit interval.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from fractions import Fraction
 from . import cut
 from .qpos import PosRational, int_str
 from .real import Real
+
+GUARD_DIGITS = 2  # `decimal` works from an interval this many digits finer than it prints
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,15 +66,15 @@ def rational_interval(x: Real, n: int) -> SignedInterval:
 def decimal(x: Real, digits: int) -> str:
     """Decimal rendering with `digits` fractional digits, never a lie.
 
-    Works from an interval 10^-(digits+2) wide.  When both endpoints
-    round to the same fixed-point string, that string is the correctly
-    rounded value and is returned bare.  When they disagree, or when the
-    interval straddles zero (so not even the sign is certified), the
-    result is the interval itself, endpoints rounded outward.
+    Works from an interval 10^-(digits + GUARD_DIGITS) wide.  When both
+    endpoints round to the same fixed-point string, that string is the
+    correctly rounded value and is returned bare.  When they disagree, or
+    when the interval straddles zero (so not even the sign is certified),
+    the result is the interval itself, endpoints rounded outward.
     """
     cut.check_precision(digits, "digits")
     scale = 10 ** digits
-    iv = rational_interval(x, 100 * scale)
+    iv = rational_interval(x, 10 ** GUARD_DIGITS * scale)
     # one division per endpoint: v * 10^d = floor + rem/den, 0 <= rem < den
     lo, lo_rem = _scaled_divmod(iv.lo, scale)
     hi, hi_rem = _scaled_divmod(iv.hi, scale)

@@ -353,17 +353,20 @@ class Sum(Cut):
     the subtree.  Each distinct term, by identity, is bracketed once and
     counted by its multiplicity, where k counts every occurrence: a
     leaf's second bracket at the same precision would be the same closed
-    form, and a composite's its stored one.  `add` and `add_all` build
-    it, with the sum of the terms' ceilings.
+    form, and a composite's its stored one.  Its ceiling is the sum of
+    its terms' ceilings.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[Cut, ...], ceiling: int) -> None:
+    def __init__(self, terms: tuple[Cut, ...]) -> None:
         # the Cut slots, set here rather than through Cut.__init__: a sum
         # is the node built most, one per signed root and one per
         # component of each "+"/"-" chain
         self._best = _NO_BRACKET
+        ceiling = 0
+        for t in terms:
+            ceiling += t.ceiling
         self.ceiling = ceiling
         self.terms = terms
 
@@ -578,17 +581,13 @@ def oracle_cut(member: Callable[[PosRational], bool],
 
 
 def add(a: Cut, b: Cut) -> Sum:
-    """The two-term sum a + b: `add_all((a, b))`, its ceiling added directly."""
-    return Sum((a, b), a.ceiling + b.ceiling)
+    """The two-term sum a + b: `add_all((a, b))`."""
+    return Sum((a, b))
 
 
 def add_all(terms: Iterable[Cut]) -> Sum:
     """The sum of two or more terms, left to right, as one node."""
-    terms = tuple(terms)
-    ceiling = 0
-    for t in terms:
-        ceiling += t.ceiling
-    return Sum(terms, ceiling)
+    return Sum(tuple(terms))
 
 
 def mul(a: Cut, b: Cut) -> Product:
@@ -655,9 +654,8 @@ def bracket(a: Cut, n: int) -> Bracket:
     would walk, from their largest member numerator; composite nodes
     recurse structurally through this function, so a shared subtree is
     bracketed afresh only when a request is finer than anything it has
-    answered.  It never
-    raises PrecisionBudgetExhausted: a difference searched for the
-    separation of its operands when it was built.
+    answered.  It never raises PrecisionBudgetExhausted: a difference
+    searched for the separation of its operands when it was built.
     """
     check_precision(n)
     reach, best = a._best

@@ -24,12 +24,8 @@ from .real import Real
 
 
 class SignedRational:
-    """Not a type: signed rationals are ``fractions.Fraction``.
-
-    ``from_fraction`` is ``Fraction`` itself.  Its only caller is the
-    benchmark worker (``perfbench/worker.py``); the name goes with the
-    next change to the benchmark.
-    """
+    """Not a type: signed rationals are ``Fraction``s, and ``from_fraction`` is
+    ``Fraction``.  The benchmark worker calls it; the name goes with its next change."""
 
     from_fraction = staticmethod(Fraction)
 
@@ -47,20 +43,25 @@ def f_embed(a: Cut) -> Real:
     return real.signed(a)
 
 
+def rational_pair(q: Fraction | int) -> tuple[int, int]:
+    """The numerator and denominator of a ``Fraction`` or an ``int``, the one reader
+    of a rational; any other type, a float or a Decimal too, raises TypeError."""
+    try:
+        return q.numerator, q.denominator
+    except AttributeError:
+        raise TypeError(f"a rational is a Fraction or an int, got {q!r}") from None
+
+
 def g_embed(q: Fraction | int) -> Real:
     """Any signed rational as a signed real built from rational cuts.
 
-    A magnitude m lands at (S_{m+1}, S_1), negated by `real.neg` when q
-    is negative, and carries S_m as its magnitude, so a product with it
-    scales by m instead of by the components; zero knows no sign, and
-    shares a single S_1 node between the components so that downstream
-    code can recognise it syntactically.  Any other type, a float or a
-    Decimal included, raises TypeError.
+    q is read by `rational_pair`.  A magnitude m lands at (S_{m+1}, S_1),
+    negated by `real.neg` when q is negative, and carries S_m as its
+    magnitude, so a product with it scales by m instead of by the
+    components; zero knows no sign, and shares a single S_1 node between
+    the components so that downstream code can recognise it syntactically.
     """
-    try:
-        num, den = q.numerator, q.denominator
-    except AttributeError:
-        raise TypeError(f"g_embed takes a Fraction or an int, got {q!r}") from None
+    num, den = rational_pair(q)
     if num == 0:
         return real.zero()
     m = abs(num)

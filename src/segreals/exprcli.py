@@ -43,14 +43,14 @@ from itertools import accumulate, repeat
 from typing import Any, NamedTuple
 
 from . import approx, cut, real
-from .embed import f_embed, g_embed
+from .embed import f_embed, g_embed, rational_pair
 from .qpos import NonPositiveError, PosRational, int_str
 from .real import Real, ZeroAtPrecision
 
 CONFIG_FILE = "reals.toml"
 ENV_BUDGET = "REALS_BUDGET"
 DEFAULT_DIGITS = 10
-# Most digits `eval` prints: it works at width 10^-(digits + 2), so more is more work
+# Most digits `eval` prints: it works at 10^-(digits + approx.GUARD_DIGITS), so more is more work
 MAX_DIGITS = 200_000
 DEFAULT_COMPARE_PRECISION = 10 ** 6
 # Deepest nesting of parentheses and unary minus signs the parser accepts.
@@ -102,30 +102,27 @@ _BAD_RADICAND = "root radicand must be a positive rational literal"
 
 @dataclass(frozen=True)
 class Literal:
-    value: Fraction
+    value: Fraction | int  # the parser keeps a whole literal as the int it read
     operands, precedence = (), _TIGHT
 
     def _evaluate(self, n: int, budget: int | None) -> Real:
         return g_embed(self.value)
 
     def _render(self) -> str:
-        num, den = int_str(self.value.numerator), self.value.denominator
-        return num if den == 1 else f"{num}/{int_str(den)}"
+        num, den = rational_pair(self.value)
+        return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
 @dataclass(frozen=True)
 class Binary:
-    """An infix operator; each subclass names its `symbol`.  A product or a
-    quotient is one step, `combine` on its two operands' results; a "+" or
-    "-" is a `Chain`, one step for all the terms of its chain."""
+    """An infix operator; each subclass names its `symbol` and evaluates
+    itself.  A product or a quotient is one step on its two operands'
+    results; a "+" or "-" is a `Chain`, one step for all its chain's terms."""
 
     left: Expr
     right: Expr
     operands = property(lambda self: (self.left, self.right))
     precedence = property(lambda self: _PRECEDENCE[self.symbol])
-
-    def _evaluate(self, n: int, budget: int | None, x: Real, y: Real) -> Real:
-        return self.combine(x, y)
 
     def _render(self, x: str, y: str) -> str:
         level = self.precedence
@@ -136,15 +133,17 @@ class Binary:
 
 
 class Chain(Binary):
-    """A "+" or "-", with the maximal left-associated chain of them it tops:
-    the nodes down its left spine.  Their right operands, and the last one's
-    left operand, are the chain's terms, and the chain is one step, given
-    the terms' results left to right as its operands, so its inner nodes
-    get no step of their own.  A "+" or "-" never raises, so the first
-    error still comes from the same term."""
+    """A "+" or "-" and the maximal left-associated chain of them it tops,
+    down its left spine.  The links' right operands and the last one's left
+    operand are its terms, and the chain is one step on their results, left
+    to right, so its inner links get no step; as a "+" or "-" never raises,
+    the first error still comes from the same term.  `_chain` reads the spine
+    once per node, cached in its __dict__, which ==, hash and repr never read."""
 
-    def _chain(self) -> tuple[list[Expr], list[bool]]:
-        """The terms, left to right, and for each whether it is subtracted."""
+    @functools.cached_property
+    def _chain(self) -> tuple[tuple[Expr, ...], tuple[bool, ...]]:
+        """The terms, left to right, and for each whether it is subtracted;
+        tuples, since every reader of the node shares them."""
         terms, subtracted, e = [], [], self
         while (minus := _SUBTRACTS.get(type(e))) is not None:
             terms.append(e.right)
@@ -152,19 +151,17 @@ class Chain(Binary):
             e = e.left
         terms.append(e)
         subtracted.append(False)
-        terms.reverse()
-        subtracted.reverse()
-        return terms, subtracted
+        return tuple(reversed(terms)), tuple(reversed(subtracted))
 
-    operands = property(lambda self: self._chain()[0])
+    operands = property(lambda self: self._chain[0])
 
     def _evaluate(self, n: int, budget: int | None, *xs: Real) -> Real:
-        return real.add_all(xs, self._chain()[1])
+        return real.add_all(xs, self._chain[1])
 
     def _render(self, *xs: str) -> str:
         # the text of the left-deep binary nodes: no term binds more loosely
         # than "+", and a later term that is a chain itself is parenthesised
-        terms, subtracted = self._chain()
+        terms, subtracted = self._chain
         parts = [xs[0]]
         for t, x, minus in zip(terms[1:], xs[1:], subtracted[1:]):
             parts += (" - " if minus else " + ", f"({x})" if t.precedence <= 0 else x)
@@ -180,18 +177,21 @@ class Sub(Chain):
 
 
 class Mul(Binary):
-    symbol, combine = "*", staticmethod(real.mul)
+    symbol = "*"
+
+    def _evaluate(self, n: int, budget: int | None, x: Real, y: Real) -> Real:
+        return real.mul(x, y)
 
 
 class Div(Binary):
-    symbol, combine = "/", staticmethod(real.mul)
+    symbol = "/"
 
     def _evaluate(self, n: int, budget: int | None, x: Real, y: Real) -> Real:
         try:
             y = real.inv(y, n, budget)
         except ZeroAtPrecision as exc:
             raise ZeroDivisorAtPrecision(n) from exc
-        return self.combine(x, y)
+        return real.mul(x, y)
 
     def _render(self, x: str, y: str) -> str:
         # after "/" a bare literal would be absorbed into the literal before it
@@ -221,11 +221,7 @@ class Root:
     operands, precedence = (), _TIGHT
 
     def _evaluate(self, n: int, budget: int | None) -> Real:
-        value = self.radicand.value
-        try:  # as `g_embed` reads a literal: a float or a Decimal has neither
-            num, den = value.numerator, value.denominator
-        except AttributeError:
-            raise TypeError(f"a root radicand is a Fraction or an int, got {value!r}") from None
+        num, den = rational_pair(self.radicand.value)
         try:
             return f_embed(cut.root_cut(self.degree, PosRational(num, den)))
         except NonPositiveError:
@@ -372,7 +368,7 @@ def _literal(tokens: list[_Token], i: int) -> tuple[Literal, int]:
     if tokens[i + 1].kind == "/" and tokens[i + 2].kind == "int" \
             and (den := _int(tokens[i + 2])) > 0:
         return Literal(Fraction(num, den)), i + 3
-    return Literal(Fraction(num)), i + 1
+    return Literal(num), i + 1
 
 
 def _root_form(tokens: list[_Token], i: int) -> tuple[Root, int]:
@@ -389,18 +385,18 @@ def _root_form(tokens: list[_Token], i: int) -> tuple[Root, int]:
         i += 2
     sign = tokens[i]  # the radicand's first token
     i += sign.kind == "-"
-    num, den = _int(tokens[i], "a rational literal"), 1
+    value = _int(tokens[i], "a rational literal")
     if tokens[i + 1].kind == "/":
-        den = _int(tokens[i + 2])
+        value = Fraction(value, den) if (den := _int(tokens[i + 2])) else 0  # p/0: no radicand
         i += 2
-    if sign.kind == "-" or num == 0 or den == 0:
+    if sign.kind == "-" or value == 0:
         raise DomainError(_BAD_RADICAND, sign.offset)
     _expect(tokens[i + 1], ")")
     try:
         cut.check_root_degree(degree)
     except cut.BadDegreeError as exc:
         raise DomainError(str(exc), deg_tok.offset) from None
-    return Root(degree, Literal(Fraction(num, den))), i + 2
+    return Root(degree, Literal(value)), i + 2
 
 
 def parse(text: str) -> Expr:
@@ -448,10 +444,15 @@ def parse(text: str) -> Expr:
 def _parse_width(text: str) -> int:
     """A width argument "1/N" (any p/q accepted) into a denominator n."""
     num, sep, den = text.partition("/")
+    p = None
     try:
         p = int(num)
         q = int(den) if sep else 0
     except ValueError:
+        # as in `_int`, only the cap on one conversion rejects a run of digits
+        if (part := num if p is None else den).isdecimal():
+            raise argparse.ArgumentTypeError(
+                f"integer of {len(part)} digits in the width is too long") from None
         p, q = 0, 0
     if not sep or p < 1 or q < 1:
         raise argparse.ArgumentTypeError(
@@ -567,11 +568,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     Every call reads its inputs afresh: `argv` (`sys.argv[1:]` when it is
     None), reals.toml in the working directory, $REALS_BUDGET, and
     `sys.stdout`/`sys.stderr` as they are at the call.  The argument
-    parsers are built once per process and are only read while parsing.
-    The command word routes the rest of `argv` to its own parser, which
-    reads it in one pass; a line with no command word, or with an
-    argument that parser leaves over, is read again by the root parser,
-    whose diagnostic argparse prints.
+    parsers are built once per process and are only read while parsing,
+    each line in one pass where `_read_args` can route it.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -592,7 +590,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             else:
                 digits = _resolve("digits", args.digits, config, default=DEFAULT_DIGITS,
                                   most=MAX_DIGITS)
-                value = evaluate(expr, 10 ** (digits + 2), budget)
+                value = evaluate(expr, 10 ** (digits + approx.GUARD_DIGITS), budget)
                 print(approx.decimal(value, digits))
         else:
             n = args.precision

@@ -48,6 +48,7 @@ from segreals.cut import (
     _grid_bracket,
     _iroot,
     add,
+    add_all,
     compare,
     mul,
 )
@@ -1037,6 +1038,26 @@ class TestCeilings:
         assert (mul(a, inverse(b)).ceiling, add(inverse(b), a).ceiling) == (6, 5)
         assert sup_finite([a, inverse(b)]).ceiling == 3
         assert difference(a, inverse(s_r(q(1, 9)))).ceiling == 11
+
+    @given(st.lists(st.tuples(st.sampled_from(["rational", "root", "inverse", "product",
+                                               "sum"]), tiny_rationals | small_rationals),
+                    min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_a_sum_adds_its_terms_ceilings(self, drawn):
+        # a sum computes its ceiling itself, however `add` or `add_all` built it
+        terms = []
+        for kind, r in drawn:
+            c = s_r(r) if kind == "rational" else root_cut(3, r)
+            if kind == "inverse":
+                c = inverse(c)
+            elif kind == "product":
+                c = mul(c, root_cut(2, r))
+            elif kind == "sum":
+                c = add_all([c, s_r(r), c])
+            terms.append(c)
+        assert add(terms[0], terms[1]).ceiling == terms[0].ceiling + terms[1].ceiling
+        assert add_all(terms).ceiling == sum(t.ceiling for t in terms)
+        assert add_all(iter(terms)).ceiling == sum(t.ceiling for t in terms)
 
     @given(st.integers(2, 5),
            st.lists(st.tuples(st.sampled_from(["rational", "oracle"]),

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import os
 import random
@@ -25,6 +26,7 @@ from segreals import (
     cut,
     evaluate,
     exprcli,
+    g_embed,
     parse,
     rational_interval,
     real,
@@ -703,6 +705,69 @@ class TestEvaluate:
         assert not (a.hi < b.lo or b.hi < a.lo)
 
 
+class TestLiteralValues:
+    """The parser keeps a whole literal or radicand as the int it read and
+    builds a Fraction only for p/q; one reader, `embed.rational_pair`, takes
+    a value apart for `g_embed`, a root and the text."""
+
+    def test_whole_literals_stay_ints(self):
+        assert type(parse("3").value) is int and parse("3").value == 3
+        assert type(parse("0").value) is int
+        assert parse("6/4").value == Fraction(3, 2)
+        assert type(parse("6/4").value) is Fraction
+        # "/ 0" stays behind as a division of two whole literals
+        assert parse("1/0") == Div(Literal(1), Literal(0))
+        assert type(parse("1/0").left.value) is int
+
+    def test_whole_radicands_stay_ints(self):
+        assert type(parse("sqrt(3)").radicand.value) is int
+        assert type(parse("root(5, 12)").radicand.value) is int
+        r = parse("root(3, 6/4)").radicand.value
+        assert type(r) is Fraction and r == Fraction(3, 2)
+        assert parse("sqrt(4/2)").radicand.value == 2
+
+    def test_an_int_literal_is_the_fraction_literal(self):
+        for v in (0, 3, -7, 10 ** 30):
+            assert Literal(v) == Literal(Fraction(v))
+            assert hash(Literal(v)) == hash(Literal(Fraction(v)))
+            assert Root(2, Literal(v)) == Root(2, Literal(Fraction(v)))
+        assert unparse(parse("3 + 6/4 * sqrt(2)")) == "3 + 3/2 * root(2, 2)"
+
+    @pytest.mark.parametrize("value", [2.5, Decimal("2.5"), "1/2"], ids=repr)
+    def test_one_type_error_for_every_reader(self, value):
+        with pytest.raises(TypeError) as expected:
+            g_embed(value)
+        assert repr(value) in str(expected.value)
+        for call in (lambda: evaluate(Literal(value), 10),
+                     lambda: evaluate(Root(2, Literal(value)), 10),
+                     lambda: unparse(Literal(value))):
+            with pytest.raises(TypeError) as exc:
+                call()
+            assert str(exc.value) == str(expected.value)
+
+    def test_a_chain_reads_its_spine_once(self, monkeypatch):
+        readings = []
+        plain = Add._chain.func
+
+        def counting(self):
+            readings.append(self)
+            return plain(self)
+
+        cached = functools.cached_property(counting)
+        cached.__set_name__(Add, "_chain")
+        monkeypatch.setattr(Add, "_chain", cached)
+        text = "1 + 2 - root(2, 3) + 4/5"
+        e = parse(text)
+        # the walk's operands, the sum's signs and the text: one reading
+        assert unparse(e) == text
+        assert exprcli.approx.decimal(evaluate(e, 10 ** 5), 3) == "2.068"
+        assert len(readings) == 1 and readings[0] is e
+        # the cached reading is no field: equality, hash and repr are the tree's
+        fresh = parse(text)
+        assert "_chain" in vars(e) and "_chain" not in vars(fresh)
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+
+
 def _chain_of(pairs):
     """The left-associated "+"/"-" chain of (subtracted, term) pairs; the
     first pair's flag is not read."""
@@ -880,6 +945,21 @@ class TestCli:
         assert code == 2 and out == ""
         assert "too long" in err and "offset 4" in err
         assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "1/3", "--interval", "1/1" + "0" * 4300],
+        ["eval", "1/3", "--interval", "1" + "0" * 4300 + "/3"],
+        ["compare", "1", "2", "--precision", "1/1" + "0" * 4300],
+    ], ids=["interval", "interval-numerator", "precision"])
+    def test_width_past_the_int_conversion_cap(self, argv):
+        # int() takes any run of digits but past the interpreter's cap on one
+        # conversion: the message names the digit count, not the argument
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert "integer of 4301 digits in the width is too long" in err
+        assert "0" * 100 not in err and "expected a width" not in err
+        assert run_cli(["eval", "1/3", "--interval", "1/1" + "0" * 4200])[0] == 0
 
     def test_digits_past_the_int_conversion_cap(self):
         assert run_cli(["eval", "1/3", "--digits", "5000"]) \
