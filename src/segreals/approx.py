@@ -11,29 +11,28 @@ certain is shown as an explicit interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cut
-from .qpos import PosRational, int_str
+from .qpos import PosRational, Record, int_str
 from .real import Real
 
 GUARD_DIGITS = 2  # `decimal` works from an interval this many digits finer than it prints
 
 
-@dataclass(frozen=True, slots=True)
-class SignedInterval:
+class SignedInterval(Record):
     """A closed interval with exact signed rational endpoints.
 
     Endpoints print as num/den even when whole (``0/1``, ``2/1``), and
     through `int_str`, so they print at any length.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        self.lo = lo
+        self.hi = hi
+        if hi < lo:
             raise ValueError(f"interval endpoints out of order: {self}")
 
     @property

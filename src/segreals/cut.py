@@ -77,10 +77,9 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
-from .qpos import ONE, NotGreaterError, PosRational, ceil_int, halve
+from .qpos import ONE, NotGreaterError, PosRational, Record, ceil_int, halve
 
 # Cap on the precision denominator of `difference`'s search for a separation:
 # past it, it raises instead of looping forever on a pair of equal values.
@@ -133,20 +132,21 @@ class Comparison(enum.Enum):
     OVERLAP = "overlap"
 
 
-@dataclass(frozen=True, slots=True)
-class Bracket:
+class Bracket(Record):
     """A certified enclosure: lo is in the set, hi is not.
 
     Since every member is strictly below every non-member, the value of
-    the cut lies in (lo, hi].
+    the cut lies in (lo, hi].  Every fresh bracket builds one, so it is a
+    plain slotted class whose one `__init__` checks lo < hi.
     """
 
-    lo: PosRational
-    hi: PosRational
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket endpoints out of order: {self.lo} >= {self.hi}")
+    def __init__(self, lo: PosRational, hi: PosRational) -> None:
+        if not lo < hi:
+            raise ValueError(f"bracket endpoints out of order: {lo} >= {hi}")
+        self.lo = lo
+        self.hi = hi
 
     @property
     def width(self) -> PosRational:
@@ -388,9 +388,9 @@ class Sum(Cut):
         # the widths add up over all k occurrences, so k, not the number
         # of distinct terms, sets m
         m = n << (sum(counts.values()) - 1).bit_length()
-        parts = [(bracket(t, m), k) for t, k in counts.items()]
-        return Bracket(_total([(p.lo, k) for p, k in parts]),
-                       _total([(p.hi, k) for p, k in parts]))
+        parts = [bracket(t, m) for t in counts]
+        ks = list(counts.values())
+        return Bracket(_total([p.lo for p in parts], ks), _total([p.hi for p in parts], ks))
 
     def __repr__(self) -> str:
         return f"(sum {' '.join(map(repr, self.terms))})"
@@ -734,16 +734,19 @@ def _iroot(t: int, d: int) -> int:
         x = y
 
 
-def _total(points: list[tuple[PosRational, int]]) -> PosRational:
-    """The exact sum of the (point, multiplicity) pairs, added on integers
-    and reduced once: one term per distinct point, however often it occurs.
+def _total(points: list[PosRational], ks: list[int]) -> PosRational:
+    """The exact sum of the points, each counted ks[i] times, added on
+    integers and reduced once: one term per distinct point.
 
     The common denominator is the least common multiple of the points'
     denominators, which on the dyadic grids of leaf brackets stays near
     the largest of them, instead of their product.
     """
-    den = math.lcm(*(p.den for p, _ in points))
-    return PosRational(sum(k * p.num * (den // p.den) for p, k in points), den)
+    den = math.lcm(*[p.den for p in points])
+    num = 0
+    for p, k in zip(points, ks):
+        num += k * p.num * (den // p.den)
+    return PosRational(num, den)
 
 
 def _grid_bits(n: int) -> int:

@@ -37,14 +37,13 @@ import functools
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Any, NamedTuple
 
 from . import approx, cut, real
 from .embed import f_embed, g_embed, rational_pair
-from .qpos import NonPositiveError, PosRational, int_str
+from .qpos import NonPositiveError, PosRational, Record, int_str
 from .real import Real, ZeroAtPrecision
 
 CONFIG_FILE = "reals.toml"
@@ -91,7 +90,9 @@ class ZeroDivisorAtPrecision(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # syntax trees: each node kind lists its `operands` and has two steps, each
-# given its operands' results: `_evaluate`, to a Real, and `_render`, to text
+# given its operands' results: `_evaluate`, to a Real, and `_render`, to text;
+# a node compares, hashes and prints by its `_fields`, and is immutable by
+# convention
 
 
 # How tightly each infix operator binds, for the parser and for `unparse`
@@ -100,10 +101,12 @@ _TIGHT = 2  # a value or a negation
 _BAD_RADICAND = "root radicand must be a positive rational literal"
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: Fraction | int  # the parser keeps a whole literal as the int it read
+class Literal(Record):
+    _fields = ("value",)
     operands, precedence = (), _TIGHT
+
+    def __init__(self, value: Fraction | int) -> None:
+        self.value = value  # the parser keeps a whole literal as the int it read
 
     def _evaluate(self, n: int, budget: int | None) -> Real:
         return g_embed(self.value)
@@ -113,16 +116,18 @@ class Literal:
         return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record):
     """An infix operator; each subclass names its `symbol` and evaluates
     itself.  A product or a quotient is one step on its two operands'
     results; a "+" or "-" is a `Chain`, one step for all its chain's terms."""
 
-    left: Expr
-    right: Expr
+    _fields = ("left", "right")
     operands = property(lambda self: (self.left, self.right))
     precedence = property(lambda self: _PRECEDENCE[self.symbol])
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        self.left = left
+        self.right = right
 
     def _render(self, x: str, y: str) -> str:
         level = self.precedence
@@ -198,11 +203,13 @@ class Div(Binary):
         return super()._render(x, f"({y})" if isinstance(self.right, Literal) else y)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: Expr
+class Neg(Record):
+    _fields = ("operand",)
     operands = property(lambda self: (self.operand,))
     precedence = _TIGHT
+
+    def __init__(self, operand: Expr) -> None:
+        self.operand = operand
 
     def _evaluate(self, n: int, budget: int | None, x: Real) -> Real:
         return real.neg(x)
@@ -214,11 +221,13 @@ class Neg:
         return f"- {x}" if x.startswith("-") else f"-{x}"
 
 
-@dataclass(frozen=True)
-class Root:
-    degree: int
-    radicand: Literal
+class Root(Record):
+    _fields = ("degree", "radicand")
     operands, precedence = (), _TIGHT
+
+    def __init__(self, degree: int, radicand: Literal) -> None:
+        self.degree = degree
+        self.radicand = radicand
 
     def _evaluate(self, n: int, budget: int | None) -> Real:
         num, den = rational_pair(self.radicand.value)
@@ -241,7 +250,7 @@ _SUBTRACTS = {Add: False, Sub: True}  # the links of a chain, by exact type
 _OPERANDS_DONE = object()  # on `_walk`'s stack: the node two under it has its operands done
 
 
-def _walk(e: Expr, verb: str, *args: Any) -> Any:
+def _walk(e: Expr, verb: str, *args: object) -> object:
     """Each node's step `_<verb>(*args, *its operands' results)`, run in the order
     of a recursive post-order walk, operands left to right (so the first error is
     the same), but from an explicit stack; returns the root's result.  A node's
@@ -291,10 +300,8 @@ def unparse(e: Expr) -> str:
 # parsing
 
 
-class _Token(NamedTuple):
-    kind: str  # "int", "name", one of "+-*/(),", or "end"
-    text: str
-    offset: int
+# kind is "int", "name", one of "+-*/(),", or "end"; text is a str, offset an int
+_Token = namedtuple("_Token", ("kind", "text", "offset"))
 
 
 # A token is a run of decimal digits, a run of letters or an operator, and
@@ -441,6 +448,14 @@ def parse(text: str) -> Expr:
 # command line
 
 
+def _too_long(text: str, where: str = "") -> str | None:
+    """The diagnostic for a signed run of digits, which int() refuses only past
+    the interpreter's cap on one conversion, as in `_int`: its digit count, not
+    its text.  None for any other text."""
+    digits = re.fullmatch(r"\s*[-+]?(\d+)\s*", text)
+    return digits and f"integer of {len(digits[1])} digits{where} is too long"
+
+
 def _parse_width(text: str) -> int:
     """A width argument "1/N" (any p/q accepted) into a denominator n."""
     num, sep, den = text.partition("/")
@@ -449,15 +464,22 @@ def _parse_width(text: str) -> int:
         p = int(num)
         q = int(den) if sep else 0
     except ValueError:
-        # as in `_int`, only the cap on one conversion rejects a run of digits
-        if (part := num if p is None else den).isdecimal():
-            raise argparse.ArgumentTypeError(
-                f"integer of {len(part)} digits in the width is too long") from None
+        if too_long := _too_long(num if p is None else den, " in the width"):
+            raise argparse.ArgumentTypeError(too_long) from None
         p, q = 0, 0
     if not sep or p < 1 or q < 1:
         raise argparse.ArgumentTypeError(
             f"expected a width like 1/1000000, got {text!r}")
     return -(-q // p)  # ceil(q / p): any interval of width p/q is fine at 1/n
+
+
+def _parse_int(text: str) -> int:
+    """An integer option's value, int(text), with argparse's type=int
+    diagnostic for any text but a run of digits past the cap (`_too_long`)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(_too_long(text) or f"invalid int value: {text!r}") from None
 
 
 def _load_config() -> dict:
@@ -498,12 +520,16 @@ def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
         try:
             value, source = int(env_value), env
         except ValueError:
-            raise ValueError(f"{env} must be an integer, got {env_value!r}") from None
+            too_long = _too_long(env_value)
+            raise ValueError(f"{env}: {too_long}" if too_long
+                             else f"{env} must be an integer, got {env_value!r}") from None
     if value is None:
         value, source = config.get(key, default), f"{key} in {CONFIG_FILE}"
     if value is not None and (value < 1 or most is not None and value > most):
         bound = "at least 1" if value < 1 else f"at most {most}"
-        raise ValueError(f"{source} must be {bound}, got {value}")
+        # a long value is named by its digit count, not echoed
+        got = value if abs(value) < 10 ** 20 else f"an integer of {len(int_str(abs(value)))} digits"
+        raise ValueError(f"{source} must be {bound}, got {got}")
     return value
 
 
@@ -518,11 +544,11 @@ def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
     ev = sub.add_parser("eval", help="evaluate an expression")
     ev.add_argument("expression")
     how = ev.add_mutually_exclusive_group()
-    how.add_argument("--digits", type=int, metavar="D",
+    how.add_argument("--digits", type=_parse_int, metavar="D",
                      help=f"certified decimal digits (default {DEFAULT_DIGITS})")
     how.add_argument("--interval", type=_parse_width, metavar="1/N",
                      help="print an exact rational interval of width at most 1/N")
-    ev.add_argument("--budget", type=int, metavar="B",
+    ev.add_argument("--budget", type=_parse_int, metavar="B",
                     help="cap on the precision denominator while separating cuts")
 
     cp = sub.add_parser("compare", help="order two expressions")
@@ -531,7 +557,7 @@ def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
     cp.add_argument("--precision", type=_parse_width, metavar="1/N",
                     default=DEFAULT_COMPARE_PRECISION,
                     help="certification width (default 1/1000000)")
-    cp.add_argument("--budget", type=int, metavar="B",
+    cp.add_argument("--budget", type=_parse_int, metavar="B",
                     help="cap on the precision denominator while separating cuts")
     # Every option but -h is spelled --name, so an argument with one leading
     # "-" is an expression such as -sqrt(2).  argparse has no public switch

@@ -3,13 +3,42 @@
 Everything downstream manipulates sets of these values, so the
 representation stays small: a reduced pair of positive Python ints.
 All operations are exact; numerators and denominators may grow without
-bound and are never rounded.
+bound and are never rounded.  `Record`, the equality, hash and repr of
+the package's plain value classes, lives here, in the module all import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+
+class Record:
+    """Equality, hash and repr from the field names in `_fields`, as a frozen
+    dataclass has them: instances compare and hash as the tuple of their
+    fields, equal only to their own class, and repr names each field.
+
+    A subclass sets its fields in its one `__init__` and never after, so it
+    is immutable by convention; frozen, each field would be set through
+    `object.__setattr__`, which made building one twice as slow.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class NonPositiveError(ValueError):
@@ -20,25 +49,25 @@ class NotGreaterError(ValueError):
     """Strict subtraction a - b was requested with a <= b."""
 
 
-@dataclass(frozen=True, slots=True)
-class PosRational:
+class PosRational(Record):
     """A strictly positive rational, always stored reduced.
 
     Structural equality coincides with value equality because of the
-    canonical form, so instances can be dict keys or set members.
+    canonical form, so instances can be dict keys or set members.  It is
+    the object the engine builds most, so it is a plain slotted class with
+    one `__init__`, which checks and reduces the pair.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if self.num <= 0 or self.den <= 0:
-            raise NonPositiveError(f"{self.num}/{self.den} is not strictly positive")
-        g = math.gcd(self.num, self.den)
+    def __init__(self, num: int, den: int = 1) -> None:
+        if num <= 0 or den <= 0:
+            raise NonPositiveError(f"{num}/{den} is not strictly positive")
+        g = math.gcd(num, den)
         if g > 1:
-            # bypass the frozen guard once to normalise
-            object.__setattr__(self, "num", self.num // g)
-            object.__setattr__(self, "den", self.den // g)
+            num, den = num // g, den // g
+        self.num = num
+        self.den = den
 
     def __str__(self) -> str:
         return f"{int_str(self.num)}/{int_str(self.den)}"

@@ -36,11 +36,10 @@ magnitude the divisor knows, or else that C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import cut
-from .qpos import ONE, PosRational, int_str
+from .qpos import ONE, PosRational, Record, int_str
 from .cut import Comparison, Cut
 
 
@@ -57,22 +56,22 @@ class ZeroAtPrecision(ArithmeticError):
                          f"not separable from zero at width 1/{int_str(precision)}")
 
 
-@dataclass(frozen=True)
-class Positive:
+class Positive(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Negative:
+class Negative(Record):
     pass
 
 
-@dataclass(frozen=True)
-class IndistinguishableFromZero:
+class IndistinguishableFromZero(Record):
     """Brackets at the given precision straddle zero: no sign is certified,
     and no zero claimed.  Also named `Indeterminate`, as `canonicalize`'s answer."""
 
-    precision: int
+    _fields = ("precision",)
+
+    def __init__(self, precision: int) -> None:
+        self.precision = precision
 
 
 Indeterminate = IndistinguishableFromZero
@@ -81,7 +80,6 @@ Indeterminate = IndistinguishableFromZero
 SignVerdict = Positive | Negative | IndistinguishableFromZero
 
 
-@dataclass(eq=False, slots=True)
 class Real:
     """A formal difference of two cuts.  Identity-based equality only.
 
@@ -89,16 +87,20 @@ class Real:
     recorded once: the value is the positive cut `magnitude`'s, negated
     when `negative`.  Otherwise `magnitude` is None and `negative` False.
     Only `mul`, `add_all` and `inv` read them.  Nothing assigns a field
-    after a real is built; the class is not frozen because a frozen
-    dataclass sets each field through `object.__setattr__`, which made
-    building a real, the step every term and every sum takes, four times
-    as slow.
+    after a real is built, so it is immutable by convention, as a
+    `Record` is; every term and every sum builds one, so it is a plain
+    slotted class with one `__init__`, which sets the four fields.
     """
 
-    pos: Cut
-    neg: Cut
-    magnitude: Cut | None = None
-    negative: bool = False
+    __slots__ = _fields = ("pos", "neg", "magnitude", "negative")
+    __repr__ = Record.__repr__
+
+    def __init__(self, pos: Cut, neg: Cut, magnitude: Cut | None = None,
+                 negative: bool = False) -> None:
+        self.pos = pos
+        self.neg = neg
+        self.magnitude = magnitude
+        self.negative = negative
 
     def __add__(self, other: Real) -> Real:
         return add(self, other)

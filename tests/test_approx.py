@@ -71,8 +71,17 @@ class TestRationalInterval:
 
 class TestSignedInterval:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             SignedInterval(Fraction(2), Fraction(1))
+        assert str(exc.value) == "interval endpoints out of order: [2/1, 1/1]"
+        assert SignedInterval(Fraction(1), Fraction(1)).width == 0
+
+    def test_repr_and_equality(self):
+        iv = SignedInterval(Fraction(-1, 2), Fraction(3))
+        assert repr(iv) == "SignedInterval(lo=Fraction(-1, 2), hi=Fraction(3, 1))"
+        assert iv == SignedInterval(Fraction(-2, 4), Fraction(3))
+        assert hash(iv) == hash(SignedInterval(Fraction(-2, 4), Fraction(3)))
+        assert iv != (Fraction(-1, 2), Fraction(3))
 
     def test_contains_and_str(self):
         iv = SignedInterval(Fraction(-1, 3), Fraction(1, 2))

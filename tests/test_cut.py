@@ -1295,3 +1295,15 @@ class TestSexpr:
 
     def test_bracket_str(self):
         assert str(Bracket(q(1), q(2))) == "(1/1, 2/1)"
+
+    def test_bracket_repr_and_equality(self):
+        b = Bracket(q(1, 2), q(3, 4))
+        assert repr(b) == "Bracket(lo=PosRational(1, 2), hi=PosRational(3, 4))"
+        assert b == Bracket(q(2, 4), q(3, 4)) and hash(b) == hash(Bracket(q(2, 4), q(3, 4)))
+        assert b != (q(1, 2), q(3, 4))
+
+    @pytest.mark.parametrize("lo, hi", [(q(1), q(1)), (q(3), q(2))])
+    def test_bracket_rejects_out_of_order_ends(self, lo, hi):
+        with pytest.raises(ValueError) as exc:
+            Bracket(lo, hi)
+        assert str(exc.value) == f"bracket endpoints out of order: {lo} >= {hi}"

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import os
@@ -251,9 +250,9 @@ def _flat(e):
     out, todo = [], [e]
     while todo:
         e = todo.pop()
-        fields = [getattr(e, f.name) for f in dataclasses.fields(e)]
-        out.append((type(e), [v for v in fields if not dataclasses.is_dataclass(v)]))
-        todo += reversed([v for v in fields if dataclasses.is_dataclass(v)])
+        fields = [getattr(e, f) for f in e._fields]
+        out.append((type(e), [v for v in fields if not isinstance(v, exprcli.Expr)]))
+        todo += reversed([v for v in fields if isinstance(v, exprcli.Expr)])
     return out
 
 
@@ -745,6 +744,16 @@ class TestLiteralValues:
                 call()
             assert str(exc.value) == str(expected.value)
 
+    def test_node_reprs(self):
+        assert repr(Literal(Fraction(3, 2))) == "Literal(value=Fraction(3, 2))"
+        assert repr(parse("1 + 2/3")) == \
+            "Add(left=Literal(value=1), right=Literal(value=Fraction(2, 3)))"
+        assert repr(parse("root(3, 5/7)")) == \
+            "Root(degree=3, radicand=Literal(value=Fraction(5, 7)))"
+        assert repr(parse("-1")) == "Neg(operand=Literal(value=1))"
+        # nodes of another kind never compare equal, even with equal fields
+        assert parse("1 + 2") != parse("1 - 2") and parse("1 + 2") != (1, 2)
+
     def test_a_chain_reads_its_spine_once(self, monkeypatch):
         readings = []
         plain = Add._chain.func
@@ -949,8 +958,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["eval", "1/3", "--interval", "1/1" + "0" * 4300],
         ["eval", "1/3", "--interval", "1" + "0" * 4300 + "/3"],
+        ["eval", "1/3", "--interval", "-1" + "0" * 4300 + "/3"],
         ["compare", "1", "2", "--precision", "1/1" + "0" * 4300],
-    ], ids=["interval", "interval-numerator", "precision"])
+    ], ids=["interval", "interval-numerator", "interval-signed", "precision"])
     def test_width_past_the_int_conversion_cap(self, argv):
         # int() takes any run of digits but past the interpreter's cap on one
         # conversion: the message names the digit count, not the argument
@@ -960,6 +970,32 @@ class TestCli:
         assert "integer of 4301 digits in the width is too long" in err
         assert "0" * 100 not in err and "expected a width" not in err
         assert run_cli(["eval", "1/3", "--interval", "1/1" + "0" * 4200])[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "1", "--digits", "1" + "0" * 4300],
+        ["eval", "1", "--budget", "1" + "0" * 4300],
+        ["eval", "1", "--digits", "-1" + "0" * 4300],
+        ["compare", "1", "2", "--budget", "1" + "0" * 4300],
+    ], ids=["digits", "budget", "negative-digits", "compare-budget"])
+    def test_int_option_past_the_int_conversion_cap(self, argv):
+        # as for a width: the digit count is named, and the value not echoed
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert f"argument {argv[-2]}: integer of 4301 digits is too long" in err
+        assert "0" * 100 not in err and "invalid int value" not in err
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 4199, "-1" + "0" * 4199])
+    def test_long_digits_out_of_range_are_not_echoed(self, value):
+        bound = "at least 1" if value[0] == "-" else f"at most {MAX_DIGITS}"
+        assert run_cli(["eval", "1", "--digits", value]) == \
+            (2, "", f"error: --digits must be {bound}, got an integer of 4200 digits\n")
+
+    @pytest.mark.parametrize("option", ["--digits", "--budget"])
+    def test_int_option_not_an_integer(self, option):
+        code, out, err = run_cli(["eval", "1", option, "x"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
 
     def test_digits_past_the_int_conversion_cap(self):
         assert run_cli(["eval", "1/3", "--digits", "5000"]) \
@@ -1101,6 +1137,18 @@ class TestEntryPoint:
         assert done.stderr.count("\n") == (code != 0)
 
 
+def test_import_leaves_out_dataclasses():
+    # nodes, rationals and brackets are plain classes, so the package's
+    # import pulls in neither dataclasses nor the inspect module it imports,
+    # and its annotations need no typing module (-S: no site hook runs first)
+    src = str(Path(exprcli.__file__).resolve().parents[1])
+    code = "import sys, segreals; " \
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("digits", ["3", "10000"])
     def test_closed_pipe_ends_without_a_traceback(self, digits):
@@ -1215,6 +1263,14 @@ class TestCliConfig:
             (2, "", f"error: REALS_BUDGET must be an integer, got {value!r}\n")
         # a --budget flag wins, and the variable is not read
         assert run_cli(["eval", "1/(1/3)", "--digits", "2", "--budget", "1000"])[0] == 0
+
+    def test_env_budget_past_the_int_conversion_cap(self, monkeypatch):
+        monkeypatch.setenv("REALS_BUDGET", "1" + "0" * 4300)
+        assert run_cli(["eval", "1/(1/3)", "--digits", "2"]) == \
+            (2, "", "error: REALS_BUDGET: integer of 4301 digits is too long\n")
+        monkeypatch.setenv("REALS_BUDGET", "-1" + "0" * 4199)
+        assert run_cli(["eval", "1/(1/3)", "--digits", "2"]) == \
+            (2, "", "error: REALS_BUDGET must be at least 1, got an integer of 4200 digits\n")
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("REALS_BUDGET", "1")

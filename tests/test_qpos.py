@@ -36,6 +36,15 @@ class TestConstruction:
         with pytest.raises(NonPositiveError):
             PosRational(num, den)
 
+    def test_equality_and_hash_follow_the_reduced_pair(self):
+        assert PosRational(6, 4) == PosRational(3, 2)
+        assert hash(PosRational(6, 4)) == hash(PosRational(3, 2))
+        assert PosRational(3, 2) != PosRational(2, 3)
+        # only a rational of the same class compares equal, as for a dataclass
+        assert PosRational(3, 2) != (3, 2)
+        assert PosRational(3, 2).__eq__((3, 2)) is NotImplemented
+        assert repr(PosRational(6, 4)) == "PosRational(3, 2)"
+
     def test_str_is_reduced_pair(self):
         assert str(q(10, 4)) == "5/2"
         assert str(q(3)) == "3/1"

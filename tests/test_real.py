@@ -119,6 +119,18 @@ class TestSign:
     def test_negative_certificate(self):
         assert isinstance(sign(from_pair(s_r(q(1)), s_r(q(3))), 10), Negative)
 
+    def test_verdicts_compare_by_class_and_precision(self):
+        assert Positive() == Positive() and hash(Positive()) == hash(Positive())
+        assert Positive() != Negative()
+        assert IndistinguishableFromZero(5) == Indeterminate(5) != IndistinguishableFromZero(6)
+        assert repr(IndistinguishableFromZero(5)) == "IndistinguishableFromZero(precision=5)"
+        assert repr(Positive()) == "Positive()"
+
+    def test_reals_compare_by_identity(self):
+        x = from_pair(s_r(q(1)), s_r(q(2)))
+        assert x == x and x != from_pair(x.pos, x.neg)
+        assert repr(x) == "Real(pos=(s_r 1/1), neg=(s_r 2/1), magnitude=None, negative=False)"
+
     @pytest.mark.parametrize("n", [1, 10, 1000, 10 ** 5])
     def test_exact_zero_never_certifies(self, n):
         verdict = sign(zero(), n)
