@@ -3,10 +3,13 @@
 The interval returned for a real provably contains its value: the lower
 end subtracts an over-estimate of the negative component from an
 under-estimate of the positive one, and symmetrically for the upper
-end.  Decimal output is derived from such an interval `GUARD_DIGITS`
-digits finer than requested, so a plain digit string is only ever
-printed when both ends of the enclosure round to it; anything less
-certain is shown as an explicit interval.
+end.  Its ends stay the integer pairs that subtraction gives, unreduced,
+and `decimal` rounds from those pairs, with one `divmod` per end and no
+gcd; an end becomes a reduced `Fraction` only when it is read.  Decimal
+output is derived from such an interval `GUARD_DIGITS` digits finer than
+requested, so a plain digit string is only ever printed when both ends
+of the enclosure round to it; anything less certain is shown as an
+explicit interval.
 """
 
 from __future__ import annotations
@@ -23,17 +26,37 @@ GUARD_DIGITS = 2  # `decimal` works from an interval this many digits finer than
 class SignedInterval(Record):
     """A closed interval with exact signed rational endpoints.
 
+    Each end is kept as an integer pair (num, den), den > 0, that need
+    not be reduced; `lo` and `hi` read it as a reduced `Fraction`, and
+    equality, hash, repr, `str`, `in` and `width` go through them.
     Endpoints print as num/den even when whole (``0/1``, ``2/1``), and
     through `int_str`, so they print at any length.
     """
 
-    __slots__ = _fields = ("lo", "hi")
+    __slots__ = ("_lo", "_hi")
+    _fields = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        self.lo = lo
-        self.hi = hi
+        self._lo = (lo.numerator, lo.denominator)
+        self._hi = (hi.numerator, hi.denominator)
         if hi < lo:
             raise ValueError(f"interval endpoints out of order: {self}")
+
+    @classmethod
+    def _of_pairs(cls, lo: tuple[int, int], hi: tuple[int, int]) -> SignedInterval:
+        # ends already in order, as (num, den) pairs with den > 0
+        iv = cls.__new__(cls)
+        iv._lo = lo
+        iv._hi = hi
+        return iv
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*self._lo)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*self._hi)
 
     @property
     def width(self) -> Fraction:
@@ -59,7 +82,7 @@ def rational_interval(x: Real, n: int) -> SignedInterval:
     cut.check_precision(n)
     bp = cut.bracket(x.pos, 2 * n)
     bm = cut.bracket(x.neg, 2 * n)
-    return SignedInterval(_minus(bp.lo, bm.hi), _minus(bp.hi, bm.lo))
+    return SignedInterval._of_pairs(_minus(bp.lo, bm.hi), _minus(bp.hi, bm.lo))
 
 
 def decimal(x: Real, digits: int) -> str:
@@ -74,27 +97,30 @@ def decimal(x: Real, digits: int) -> str:
     cut.check_precision(digits, "digits")
     scale = 10 ** digits
     iv = rational_interval(x, 10 ** GUARD_DIGITS * scale)
+    (lo_num, lo_den), (hi_num, hi_den) = iv._lo, iv._hi
     # one division per endpoint: v * 10^d = floor + rem/den, 0 <= rem < den
-    lo, lo_rem = _scaled_divmod(iv.lo, scale)
-    hi, hi_rem = _scaled_divmod(iv.hi, scale)
-    if not (iv.lo < 0 < iv.hi):
+    lo, lo_rem = _scaled_divmod(lo_num, lo_den, scale)
+    hi, hi_rem = _scaled_divmod(hi_num, hi_den, scale)
+    if not (lo_num < 0 < hi_num):
         # half up, floor(v * 10^d + 1/2), is monotone, so agreement of both
         # interval ends pins the rounding of everything between them
-        a = lo + (2 * lo_rem >= iv.lo.denominator)
-        b = hi + (2 * hi_rem >= iv.hi.denominator)
+        a = lo + (2 * lo_rem >= lo_den)
+        b = hi + (2 * hi_rem >= hi_den)
         if a == b:
             return _format_scaled(a, digits)
     # outward: the floor of the lower end, the ceiling of the upper one
     return f"[{_format_scaled(lo, digits)}, {_format_scaled(hi + (hi_rem > 0), digits)}]"
 
 
-def _minus(a: PosRational, b: PosRational) -> Fraction:
-    return Fraction(a.num * b.den - b.num * a.den, a.den * b.den)
+def _minus(a: PosRational, b: PosRational) -> tuple[int, int]:
+    # a - b as an unreduced (num, den) pair, den > 0
+    return a.num * b.den - b.num * a.den, a.den * b.den
 
 
-def _scaled_divmod(v: Fraction, scale: int) -> tuple[int, int]:
-    # floor(v * scale) and the remainder over v's denominator
-    return divmod(v.numerator * scale, v.denominator)
+def _scaled_divmod(num: int, den: int, scale: int) -> tuple[int, int]:
+    # floor(num/den * scale) and the remainder over den, which need not be
+    # reduced: rem/den is the same fraction of a unit either way
+    return divmod(num * scale, den)
 
 
 def _format_scaled(units: int, digits: int) -> str:

@@ -199,10 +199,11 @@ class Leaf(Cut):
 
     Every kind is bracketed on the dyadic grid over its witnesses, read
     as integer pairs (`_grid_bracket`), and climbed by `_climb`, both
-    from the kind's `largest_member_numerator` over a denominator.  On
-    rational and root leaves that is one integer division or k-th root
-    and no membership test, so their bracket is computed on every call
-    and never cached.
+    from the kind's `largest_member_numerator` over a denominator; a
+    rational leaf knows its cell without that numerator and names it in
+    closed form.  On rational and root leaves that is one integer
+    division or k-th root and no membership test, so their bracket is
+    computed on every call and never cached.
     """
 
     __slots__ = ()
@@ -227,8 +228,10 @@ class RationalCut(Leaf):
     """All positive rationals strictly below a given one.
 
     Its witnesses are the bound, out, and the mediant of the bound with
-    the origin corner, (num, den + 1), in; a fresh bracket reads them as
-    integer pairs, so a rational leaf builds no rational of its own.
+    the origin corner, (num, den + 1), in.  The bound is a point of every
+    dyadic grid over them and the least non-member, so the cell bisection
+    keeps is the top one, and a fresh bracket is that cell in closed form:
+    it builds one rational, its lower end, and its upper end is the bound.
     """
 
     __slots__ = ("bound",)
@@ -251,8 +254,12 @@ class RationalCut(Leaf):
         return (self.bound.num * den - 1) // self.bound.den
 
     def _fresh(self, n: int) -> Bracket:
+        # k halvings of the gap num/(den*(den+1)), the fewest that bring it
+        # under 1/n, as `_grid_bracket` counts them
         num, den = self.bound.num, self.bound.den
-        return _grid_bracket(self, (num, den + 1), (num, den), n)
+        grid = den * (den + 1)
+        k = (-(-num * n // grid) - 1).bit_length()
+        return Bracket(PosRational(num * (((den + 1) << k) - 1), grid << k), self.bound)
 
     def __repr__(self) -> str:
         return f"(s_r {self.bound})"
@@ -651,7 +658,8 @@ def bracket(a: Cut, n: int) -> Bracket:
     it if it is the narrowest yet.  So the bracket returned may be
     narrower than 1/n, and which one it is depends on earlier requests.
     Leaves answer on the dyadic grid over their witnesses that bisection
-    would walk, from their largest member numerator; composite nodes
+    would walk, from their largest member numerator (a rational leaf
+    names its top cell directly); composite nodes
     recurse structurally through this function, so a shared subtree is
     bracketed afresh only when a request is finer than anything it has
     answered.  It never raises PrecisionBudgetExhausted: a difference

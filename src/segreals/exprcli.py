@@ -57,6 +57,8 @@ DEFAULT_COMPARE_PRECISION = 10 ** 6
 # recurses once or more per level through nested products and inverses,
 # so this keeps it far inside the interpreter's recursion limit.
 MAX_NESTING = 100
+# Longest echo of a malformed option value in a diagnostic, quotes included
+MAX_ECHO = 80
 MAX_ROOT_DEGREE = cut.MAX_ROOT_DEGREE
 
 
@@ -456,6 +458,13 @@ def _too_long(text: str, where: str = "") -> str | None:
     return digits and f"integer of {len(digits[1])} digits{where} is too long"
 
 
+def _echo(text: str) -> str:
+    """A malformed value as a diagnostic shows it: its repr, as argparse's
+    type=int prints it, or past MAX_ECHO characters its length."""
+    shown = repr(text)
+    return shown if len(shown) <= MAX_ECHO else f"a text of {len(text)} characters"
+
+
 def _parse_width(text: str) -> int:
     """A width argument "1/N" (any p/q accepted) into a denominator n."""
     num, sep, den = text.partition("/")
@@ -469,17 +478,19 @@ def _parse_width(text: str) -> int:
         p, q = 0, 0
     if not sep or p < 1 or q < 1:
         raise argparse.ArgumentTypeError(
-            f"expected a width like 1/1000000, got {text!r}")
+            f"expected a width like 1/1000000, got {_echo(text)}")
     return -(-q // p)  # ceil(q / p): any interval of width p/q is fine at 1/n
 
 
 def _parse_int(text: str) -> int:
     """An integer option's value, int(text), with argparse's type=int
-    diagnostic for any text but a run of digits past the cap (`_too_long`)."""
+    diagnostic for any text but a run of digits past the cap (`_too_long`)
+    or a text too long to echo (`_echo`)."""
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(_too_long(text) or f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            _too_long(text) or f"invalid int value: {_echo(text)}") from None
 
 
 def _load_config() -> dict:
@@ -522,7 +533,7 @@ def _resolve(key: str, flag: int | None, config: dict, env: str | None = None,
         except ValueError:
             too_long = _too_long(env_value)
             raise ValueError(f"{env}: {too_long}" if too_long
-                             else f"{env} must be an integer, got {env_value!r}") from None
+                             else f"{env} must be an integer, got {_echo(env_value)}") from None
     if value is None:
         value, source = config.get(key, default), f"{key} in {CONFIG_FILE}"
     if value is not None and (value < 1 or most is not None and value > most):

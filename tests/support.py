@@ -25,7 +25,7 @@ from segreals import (
     root_cut,
     s_r,
 )
-from segreals.approx import SignedInterval
+from segreals.approx import GUARD_DIGITS, SignedInterval, rational_interval
 from segreals.cut import (
     Difference,
     Inverse,
@@ -269,6 +269,22 @@ def oracle_decimal(value: Fraction, digits: int) -> str:
     assert tie_distance > Fraction(1, 100), \
         f"{value} is too close to a rounding tie at {digits} digits"
     return format_scaled(oracle_half_up(value, digits), digits)
+
+
+def decimal_by_fractions(x: Real, digits: int) -> str:
+    """`approx.decimal` as it rounded from the reduced `Fraction` ends of
+    `rational_interval`: the reference its rounding from unreduced
+    integer pairs is checked against."""
+    scale = 10 ** digits
+    iv = rational_interval(x, 10 ** GUARD_DIGITS * scale)
+    lo, lo_rem = divmod(iv.lo.numerator * scale, iv.lo.denominator)
+    hi, hi_rem = divmod(iv.hi.numerator * scale, iv.hi.denominator)
+    if not (iv.lo < 0 < iv.hi):
+        a = lo + (2 * lo_rem >= iv.lo.denominator)
+        b = hi + (2 * hi_rem >= iv.hi.denominator)
+        if a == b:
+            return format_scaled(a, digits)
+    return f"[{format_scaled(lo, digits)}, {format_scaled(hi + (hi_rem > 0), digits)}]"
 
 
 def format_scaled(units: int, digits: int) -> str:

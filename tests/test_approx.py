@@ -10,18 +10,29 @@ from hypothesis import strategies as st
 
 from segreals import (
     PosRational,
+    Real,
     SignedInterval,
+    bracket,
     decimal,
     f_embed,
     g_embed,
     rational_interval,
     root_cut,
+    s_r,
     zero,
 )
+from segreals.approx import GUARD_DIGITS
 from segreals.qpos import int_str
-from segreals.real import mul, neg, sub
+from segreals.real import add, from_pair, mul, neg, sub
 
-from support import fr, interval_contains, oracle_decimal, q, sqrt_bounds
+from support import (
+    decimal_by_fractions,
+    fr,
+    interval_contains,
+    oracle_decimal,
+    q,
+    sqrt_bounds,
+)
 
 small_rationals = st.builds(PosRational, st.integers(1, 50), st.integers(1, 50))
 signed = st.one_of(
@@ -29,6 +40,40 @@ signed = st.one_of(
     small_rationals.map(fr),
     small_rationals.map(lambda r: -fr(r)),
 )
+
+
+def tie_at_lower_end(units: int, digits: int) -> Real:
+    """A real whose interval at `digits` (so at width 10^-(digits + GUARD_DIGITS))
+    has its lower end exactly on the half-way point (units + 1/2)/10^digits,
+    kept as an unreduced pair; the whole interval rounds half up to units + 1."""
+    n = 10 ** (digits + GUARD_DIGITS)
+    top = q(units + 1)
+    b = fr(bracket(s_r(top), 2 * n).lo) - Fraction(2 * units + 1, 2 * 10 ** digits)
+    return from_pair(s_r(top), s_r(q(b.numerator, b.denominator)))
+
+
+@st.composite
+def reals_at_digits(draw):
+    """(real, digits): a signed rational, zero, or a rational on a rounding
+    tie at `digits`, plus a root of either sign or a root minus itself (an
+    interval around the value, across zero when the value is 0); or a real
+    whose interval ends exactly on a tie, or its negation."""
+    digits = draw(st.integers(1, 8))
+    if draw(st.integers(0, 4)) == 0:
+        x = tie_at_lower_end(draw(st.integers(0, 10 ** 4)), digits)
+        return (neg(x) if draw(st.booleans()) else x), digits
+    value = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
+        st.builds(lambda m: Fraction(2 * m + 1, 2 * 10 ** digits), st.integers(-10 ** 4, 10 ** 4)),
+    ))
+    x = g_embed(value)
+    extra = draw(st.sampled_from(["none", "root", "minus root", "vanishing"]))
+    if extra != "none":
+        r = f_embed(root_cut(draw(st.integers(2, 4)),
+                             q(draw(st.integers(1, 50)), draw(st.integers(1, 50)))))
+        x = add(x, {"root": r, "minus root": neg(r), "vanishing": sub(r, r)}[extra])
+    return x, digits
 
 
 class TestRationalInterval:
@@ -88,6 +133,17 @@ class TestSignedInterval:
         assert Fraction(0) in iv
         assert Fraction(2) not in iv
         assert str(iv) == "[-1/3, 1/2]"
+
+    def test_pair_ends_read_as_reduced_fractions(self):
+        # rational_interval keeps its ends as unreduced integer pairs; read,
+        # they are the reduced Fractions the constructor takes
+        iv = SignedInterval._of_pairs((-2, 4), (6, 2))
+        same = SignedInterval(Fraction(-1, 2), Fraction(3))
+        assert iv == same and hash(iv) == hash(same)
+        assert repr(iv) == repr(same) == "SignedInterval(lo=Fraction(-1, 2), hi=Fraction(3, 1))"
+        assert str(iv) == "[-1/2, 3/1]"
+        assert Fraction(0) in iv and Fraction(4) not in iv
+        assert iv.width == Fraction(7, 2)
 
     def test_endpoint_text_forms(self):
         # whole endpoints keep their denominator, as --interval prints them
@@ -176,11 +232,52 @@ class TestDecimal:
         assert decimal(sub(root2, root2), 5000) == f"[-{unit}, {unit}]"
 
 
+class TestRoundingFromPairs:
+    """`decimal` rounds from the unreduced integer pairs of
+    `rational_interval`, as the reduced Fractions were rounded before."""
+
+    @given(reals_at_digits())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_rounding(self, case):
+        x, digits = case
+        assert decimal(x, digits) == decimal_by_fractions(x, digits)
+
+    def test_half_way_lower_end_rounds_up(self):
+        # the lower end lies exactly on 0.0125, half way between 12 and 13
+        # thousandths, as an unreduced pair; half up takes it to 13, as the
+        # rest of the interval, where a strict test would give 12
+        x = tie_at_lower_end(12, 3)
+        iv = rational_interval(x, 10 ** (3 + GUARD_DIGITS))
+        assert iv.lo == Fraction(1, 80) and iv._lo != (1, 80)
+        assert decimal(x, 3) == "0.013"
+        assert decimal(neg(x), 3) == "[-0.013, -0.012]"
+
+    def test_decimal_builds_no_fraction(self, monkeypatch):
+        root2 = f_embed(root_cut(2, q(2)))
+        cases = [(g_embed(Fraction(-22, 7)), 6, "-3.142857"),
+                 (sub(root2, root2), 6, "[-0.000001, 0.000001]"),
+                 (add(root2, g_embed(Fraction(1, 3))), 6, "1.747547"),
+                 (tie_at_lower_end(12, 3), 3, "0.013")]
+        count = [0]
+        plain_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            count[0] += 1
+            return plain_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        outputs = [decimal(x, digits) for x, digits, _ in cases]
+        assert count[0] == 0
+        assert outputs == [expected for _, _, expected in cases]
+        rational_interval(cases[0][0], 10).lo  # reading an end builds one
+        assert count[0] == 1
+
+
 class TestScalingHelpers:
     @staticmethod
     def half_up(v, digits):
         from segreals.approx import _scaled_divmod
-        units, rem = _scaled_divmod(v, 10 ** digits)
+        units, rem = _scaled_divmod(v.numerator, v.denominator, 10 ** digits)
         return units + (2 * rem >= v.denominator)
 
     @given(signed, st.integers(1, 8))
@@ -192,10 +289,17 @@ class TestScalingHelpers:
     @given(signed, st.integers(1, 8))
     def test_floor_ceil_sandwich(self, a, digits):
         from segreals.approx import _scaled_divmod
-        lo, rem = _scaled_divmod(a, 10 ** digits)
+        lo, rem = _scaled_divmod(a.numerator, a.denominator, 10 ** digits)
         hi = lo + (rem > 0)
         assert lo <= self.half_up(a, digits) <= hi + 1
         assert Fraction(lo, 10 ** digits) <= a <= Fraction(hi, 10 ** digits)
+
+    def test_half_way_pair_rounds_up(self):
+        # 10/800 = 0.0125 is half way between 12 and 13 thousandths; the
+        # remainder is over the unreduced denominator, and half of it
+        from segreals.approx import _scaled_divmod
+        assert _scaled_divmod(10, 800, 1000) == (12, 400)
+        assert _scaled_divmod(-10, 800, 1000) == (-13, 400)
 
     def test_format_scaled(self):
         from segreals.approx import _format_scaled

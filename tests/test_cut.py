@@ -1256,8 +1256,8 @@ class TestConstructionCounts:
         constructions[0] = 0
         leaf = s_r(b)
         assert constructions[0] == 0
-        bracket(leaf, 10 ** 6)  # its two endpoints, and no witness
-        assert constructions[0] == 2
+        bracket(leaf, 10 ** 6)  # its lower end; the upper end is the bound
+        assert constructions[0] == 1
 
     @pytest.mark.parametrize("value", [Fraction(3, 7), Fraction(-22, 7), Fraction(5)])
     def test_signed_literal_builds_two(self, constructions, value):

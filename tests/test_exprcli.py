@@ -33,6 +33,7 @@ from segreals import (
 )
 from segreals.exprcli import (
     MAX_DIGITS,
+    MAX_ECHO,
     MAX_NESTING,
     MAX_ROOT_DEGREE,
     Add,
@@ -997,6 +998,35 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "1", "--interval", "x" * 5000],
+        ["eval", "1", "--interval", "1/" + "x" * 5000],
+        ["eval", "1", "--digits", "x" * 5000],
+        ["eval", "1", "--budget", "1" * 4999 + "x"],
+        ["compare", "1", "2", "--precision", "x" * 5000],
+    ], ids=["interval", "interval-denominator", "digits", "budget", "precision"])
+    def test_long_malformed_option_is_named_by_its_length(self, argv):
+        # a text that is no number has no digit count to name, so past
+        # MAX_ECHO characters the diagnostic names its length instead
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert f"argument {argv[-2]}: " in err
+        assert err.endswith(f"got a text of {len(argv[-1])} characters\n") \
+            or err.endswith(f"invalid int value: a text of {len(argv[-1])} characters\n")
+        assert "x" * 100 not in err and "1" * 100 not in err
+
+    def test_echo_cap_counts_the_repr(self):
+        # echoed whole up to MAX_ECHO characters of its repr, quotes included;
+        # escapes count, so 30 NUL characters are named by their length
+        fits, over = "x" * (MAX_ECHO - 2), "x" * (MAX_ECHO - 1)
+        assert run_cli(["eval", "1", "--digits", fits])[2].endswith(
+            f"invalid int value: {fits!r}\n")
+        assert run_cli(["eval", "1", "--digits", over])[2].endswith(
+            f"invalid int value: a text of {MAX_ECHO - 1} characters\n")
+        assert run_cli(["eval", "1", "--interval", "\0" * 30])[2].endswith(
+            "expected a width like 1/1000000, got a text of 30 characters\n")
+
     def test_digits_past_the_int_conversion_cap(self):
         assert run_cli(["eval", "1/3", "--digits", "5000"]) \
             == (0, "0." + "3" * 5000 + "\n", "")
@@ -1263,6 +1293,11 @@ class TestCliConfig:
             (2, "", f"error: REALS_BUDGET must be an integer, got {value!r}\n")
         # a --budget flag wins, and the variable is not read
         assert run_cli(["eval", "1/(1/3)", "--digits", "2", "--budget", "1000"])[0] == 0
+
+    def test_long_env_budget_is_named_by_its_length(self, monkeypatch):
+        monkeypatch.setenv("REALS_BUDGET", "x" * 5000)
+        assert run_cli(["eval", "1/(1/3)", "--digits", "2"]) == \
+            (2, "", "error: REALS_BUDGET must be an integer, got a text of 5000 characters\n")
 
     def test_env_budget_past_the_int_conversion_cap(self, monkeypatch):
         monkeypatch.setenv("REALS_BUDGET", "1" + "0" * 4300)
