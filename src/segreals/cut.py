@@ -36,8 +36,9 @@ several precisions is computed once per refinement, not once per
 precision.  Rational and root leaves are not cached: that numerator
 is one integer division or k-th root, so computing it every time keeps
 their brackets independent of what was asked before, and they climb
-without a membership test.  An oracle leaf bisects the integers for it
-and keeps its tightest bracket.  Leaf membership inside this module
+without a membership test.  An oracle leaf bisects the grid's cells for
+its bracket, and the integers for a numerator only when it climbs, and
+keeps its tightest bracket.  Leaf membership inside this module
 goes through ``membership_leaf``, so wrapping those two module
 attributes sees every bracket and every membership test.
 
@@ -90,7 +91,7 @@ DEFAULT_BUDGET = 2 ** 64
 # work; at this cap root(k, 999/998) prints 30 digits well within a second.
 # The cost grows with the digits too: root(4999, 2) takes about 0.1 s at
 # 30 digits, 1 s at 100, 3 s at 200 and two minutes at 2 000 (Python 3.11,
-# one run each).  ROADMAP item 3 bounds it.
+# one run each).  ROADMAP item 6 bounds it.
 MAX_ROOT_DEGREE = 5000
 
 # Serialises the check-and-store of a node's best bracket, so a wider
@@ -198,12 +199,13 @@ class Leaf(Cut):
     """A cut with exact membership `contains(x)` and `witnesses()` in/out.
 
     Every kind is bracketed on the dyadic grid over its witnesses, read
-    as integer pairs (`_grid_bracket`), and climbed by `_climb`, both
-    from the kind's `largest_member_numerator` over a denominator; a
-    rational leaf knows its cell without that numerator and names it in
-    closed form.  On rational and root leaves that is one integer
-    division or k-th root and no membership test, so their bracket is
-    computed on every call and never cached.
+    as integer pairs (`_grid_bracket`), in the cell `_grid_cell` picks,
+    and climbed by `_climb`, both from the kind's
+    `largest_member_numerator` over a denominator; a rational leaf knows
+    its cell without that numerator and names it in closed form, and an
+    oracle leaf bisects the cells.  On rational and root leaves that is
+    one integer division or k-th root and no membership test, so their
+    bracket is computed on every call and never cached.
     """
 
     __slots__ = ()
@@ -212,6 +214,10 @@ class Leaf(Cut):
     def _fresh(self, n: int) -> Bracket:
         lo, hi = self.witnesses()
         return _grid_bracket(self, (lo.num, lo.den), (hi.num, hi.den), n)
+
+    def _grid_cell(self, grid: int, base: int, step: int, k: int) -> int:
+        # the last of the points (base + j*step)/grid, j = 0..2^k, that is a member
+        return (self.largest_member_numerator(grid) - base) // step
 
     def _climb(self, x: PosRational) -> PosRational:
         # the largest member on the grid 1/(x.den * 2^k), for the first k
@@ -310,8 +316,9 @@ class OracleCut(Leaf):
     The predicate must describe a genuine initial segment: downward
     closed, no maximum, neither empty nor everything.  The library
     cannot check that; it only spot-checks the two witnesses.  Its
-    predicate is opaque, so its largest member numerator is a search,
-    and its tightest bracket is its one cache, kept like a composite's.
+    predicate is opaque, so its cell and its largest member numerator
+    are searches, and its tightest bracket is its one cache, kept like a
+    composite's.
     """
 
     __slots__ = ("member", "witness_in", "witness_out")
@@ -329,6 +336,18 @@ class OracleCut(Leaf):
 
     def witnesses(self) -> tuple[PosRational, PosRational]:
         return self.witness_in, self.witness_out
+
+    def _grid_cell(self, grid: int, base: int, step: int, k: int) -> int:
+        # bisection over the 2^k cells, one membership test a halving: point
+        # 0 is the inside witness and point 2^k the outside one
+        lo, hi = 0, 1 << k
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if membership_leaf(self, PosRational(base + mid * step, grid)):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def largest_member_numerator(self, den: int) -> int:
         """The largest integer y with y/den a member, bisected between
@@ -658,8 +677,9 @@ def bracket(a: Cut, n: int) -> Bracket:
     it if it is the narrowest yet.  So the bracket returned may be
     narrower than 1/n, and which one it is depends on earlier requests.
     Leaves answer on the dyadic grid over their witnesses that bisection
-    would walk, from their largest member numerator (a rational leaf
-    names its top cell directly); composite nodes
+    would walk, in the cell their largest member numerator picks (a
+    rational leaf names its top cell directly, an oracle bisects the
+    cells); composite nodes
     recurse structurally through this function, so a shared subtree is
     bracketed afresh only when a request is finer than anything it has
     answered.  It never raises PrecisionBudgetExhausted: a difference
@@ -695,8 +715,9 @@ def _grid_bracket(a: Leaf, lo: tuple[int, int], hi: tuple[int, int], n: int) -> 
     and always keeps a cell of the level-k dyadic grid over [lo, hi]:
     the unique cell whose left end is a member and whose right end is
     not.  On the common denominator `grid` the grid points are
-    base + j*step, and the leaf names the largest member numerator over
-    `grid` directly, so one integer division picks the cell.
+    base + j*step, and the leaf's `_grid_cell` picks j: one integer
+    division of its largest member numerator over `grid`, or on an
+    oracle leaf a bisection over the 2^k cells.
     """
     (lo_num, lo_den), (hi_num, hi_den) = lo, hi
     den = math.lcm(lo_den, hi_den)
@@ -705,7 +726,7 @@ def _grid_bracket(a: Leaf, lo: tuple[int, int], hi: tuple[int, int], n: int) -> 
     k = (-(-step * n // den) - 1).bit_length()  # 2^k >= ceil(gap * n)
     grid = den << k
     base <<= k
-    j = (a.largest_member_numerator(grid) - base) // step
+    j = a._grid_cell(grid, base, step, k)
     return Bracket(PosRational(base + j * step, grid),
                    PosRational(base + (j + 1) * step, grid))
 

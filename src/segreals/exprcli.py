@@ -24,6 +24,15 @@ the one case where "/" falls through to division, so "1/0" is division
 by the literal zero and fails at evaluation time (no nonzero
 certificate), not at parse time.
 
+A text is read leaf by leaf: one regular expression takes each rational
+literal and each whole root form as one token, checked and built into
+its tree node, and each operator as another, and one precedence loop
+builds the tree over those tokens.  A text that reading rejects, for a
+character outside the grammar, a leaf that fails its check or a token
+out of place, is read again token by token (digits, names and
+operators, through the same loop), which raises the first error with
+its offset.  Both readings give the same tree for every text.
+
 Exit codes: 0 for any certified answer including "overlap", 2 for
 syntax and domain errors, 3 when certification failed (zero divisor or
 exhausted precision budget).  Answers go to stdout, diagnostics to
@@ -302,8 +311,55 @@ def unparse(e: Expr) -> str:
 # parsing
 
 
-# kind is "int", "name", one of "+-*/(),", or "end"; text is a str, offset an int
+# kind is "int", "name", one of "+-*/(),", "end", or "leaf": a whole rational
+# literal or root form, read by `_read_leaves`, whose text is the Literal or
+# Root it reads as and whose offset is None
 _Token = namedtuple("_Token", ("kind", "text", "offset"))
+
+
+# A text is first read leaf by leaf: one split on _LEAF takes each root form
+# and each rational literal whole, and each operator alone, so the parts are
+# gap, 7 groups, gap, ..., 7 groups, gap, and every gap must be whitespace.
+# "/ nat" joins a literal when nat has a digit other than "0" ([^\D0]); as
+# `_literal` absorbs it only when its value is nonzero, a run of other
+# scripts' zeros sends the text to the token-level reading.  A "," or a
+# letter outside a whole root form is left in a gap.
+_LEAF = re.compile(
+    r"(?:sqrt\s*\(|root\s*\(\s*(\d+)\s*,)\s*(-?)\s*(\d+)(?:\s*/\s*(\d+))?\s*\)"
+    r"|(\d+)(?:\s*/\s*(\d*[^\D0]\d*))?"
+    r"|([-+*/()])")
+_OPERATOR_TOKENS = {c: _Token(c, c, None) for c in "+-*/()"}
+_END = _Token("end", "", None)
+
+
+def _read_leaves(text: str) -> list[_Token] | None:
+    """The text as "leaf" and operator tokens, each leaf checked as `_literal`
+    and `_root_form` check it, and an "end"; None when a gap is not
+    whitespace or a leaf fails a check."""
+    parts = _LEAF.split(text)
+    gaps = "".join(parts[::8])
+    if gaps and not gaps.isspace():
+        return None
+    tokens = []
+    try:
+        for degree, sign, rad_num, rad_den, num, den, op, _ in zip(*[iter(parts[1:])] * 8):
+            if op:
+                tokens.append(_OPERATOR_TOKENS[op])
+                continue
+            if num:
+                leaf = Literal(Fraction(int(num), int(den)) if den else int(num))
+            else:
+                value = Fraction(int(rad_num), int(rad_den)) if rad_den else int(rad_num)
+                if sign or not value:
+                    return None
+                degree = int(degree) if degree else 2
+                cut.check_root_degree(degree)
+                leaf = Root(degree, Literal(value))
+            tokens.append(tuple.__new__(_Token, ("leaf", leaf, None)))  # no Python-level call
+    except (ValueError, ZeroDivisionError):  # past int()'s digit cap, p/0, a bad degree
+        return None
+    tokens.append(_END)
+    return tokens
 
 
 # A token is a run of decimal digits, a run of letters or an operator, and
@@ -409,8 +465,25 @@ def _root_form(tokens: list[_Token], i: int) -> tuple[Root, int]:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression; ParseError and DomainError carry byte offsets."""
-    tokens, i = _tokenize(text), 0
+    """Parse an expression; ParseError and DomainError carry byte offsets.
+
+    The text is read leaf by leaf (`_read_leaves`), and read again token by
+    token (`_tokenize`) only when that reading rejects it, so that the
+    first error and its offset are the token-level reading's.
+    """
+    tokens = _read_leaves(text)
+    if tokens is not None:
+        try:
+            return _read_tree(tokens)
+        except ParseError:
+            pass
+    return _read_tree(_tokenize(text))
+
+
+def _read_tree(tokens: list[_Token]) -> Expr:
+    """The tree of a token list, "leaf" tokens or the tokenizer's, by one
+    precedence loop over an explicit stack."""
+    i = 0
     ops: list[str] = []  # pending: infix symbols, "(" and "neg" (a unary minus)
     lefts: list[Expr] = []  # the left operand of each pending infix symbol
     while True:
@@ -421,7 +494,10 @@ def parse(text: str) -> Expr:
             ops.append("neg" if tok.kind == "-" else "(")
             i += 1
             continue
-        value, i = (_root_form if tok.kind == "name" else _literal)(tokens, i)
+        if tok.kind == "leaf":
+            value, i = tok.text, i + 1
+        else:
+            value, i = (_root_form if tok.kind == "name" else _literal)(tokens, i)
         while True:  # after a value: close what it completes
             while ops and ops[-1] == "neg":
                 value = Neg(value)

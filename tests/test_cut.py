@@ -304,6 +304,18 @@ class TestClosedFormLeaves:
         oracle = oracle_cut(lambda x: x < b, q(b.num, b.den + 1), b)
         assert oracle.largest_member_numerator(den) == s_r(b).largest_member_numerator(den)
 
+    @pytest.mark.parametrize("n, halvings", [(10 ** 6, 0), (10 ** 30, 60)])
+    def test_oracle_bisects_the_cells(self, counted, n, halvings):
+        # one membership test per halving of the witnesses' gap, about
+        # 10^-12: a search for the numerator over the grid's denominator,
+        # about 10^24 times finer, took 40 tests at 10^6 and 100 at 10^30
+        cut_module, _, tests = counted
+        b = q(999999999999, 10 ** 12)
+        oracle = oracle_cut(lambda x: x < b, q(b.num, b.den + 1), b)
+        got = cut_module.bracket(oracle, n)
+        assert tests["OracleCut"] == halvings
+        assert got == bisected(oracle, n)
+
     @pytest.mark.parametrize("degree, radicand, root, lo, hi", [
         (2, q(4), q(2), q(1), q(3)),  # the root is the first midpoint
         (3, q(8, 27), q(2, 3), q(1, 3), q(1)),

@@ -13,6 +13,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -258,8 +259,10 @@ def _flat(e):
 
 
 # pieces of texts for the parser parity test: the grammar's tokens and
-# forms, its error cases, an oversized literal, and runs of openers and
-# closers at and around the nesting limit
+# forms, its error cases, an oversized literal, runs of openers and
+# closers at and around the nesting limit, and leaves with whitespace or
+# other scripts' digits inside, or next to what the leaf-level reading
+# leaves to the token-level one
 _PIECES = (
     "0", "1", "7", "12", "2/3", "3/0", "0/4", " ", "+", "-", "*", "/", "(", ")",
     ",", "sqrt", "root", "sqrt(", "root(", "root(3,", "root(0, ", "root(1,",
@@ -269,6 +272,8 @@ _PIECES = (
     "x", "$", "\u00b2", "7" * 5000, "(" * (MAX_NESTING - 1), "(" * MAX_NESTING,
     "-" * (MAX_NESTING - 1), "-" * MAX_NESTING, "-(" * (MAX_NESTING // 2),
     ")" * (MAX_NESTING // 2), ")" * MAX_NESTING,
+    "sqrt ( 2 / 3 )", "root( 3 , 7 / 4 )", "1 /\u3000 2", "\u0663/\u0664", "1/00", "00/1",
+    "2sqrt(2)", "root(3/4, 2)", "sqrt(2 ,3)", "1 ) sqrt(-2)",
 )
 _piece_texts = st.lists(st.sampled_from(_PIECES), max_size=14).map("".join)
 
@@ -437,6 +442,13 @@ class TestParse:
         assert "too long" in str(exc.value)
         assert "set_int_max_str_digits" not in str(exc.value)
 
+    def test_leaf_pattern_classes_are_the_str_predicates(self):
+        # the leaf-level reading and the tokenizer take the same digits and
+        # gaps: on every code point \s is str.isspace and \d str.isdecimal
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+        assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+
     @given(_piece_texts)
     @settings(max_examples=500, deadline=None)
     def test_parser_matches_recursive_descent(self, text):
@@ -461,6 +473,8 @@ class TestParse:
         "1 + " + "7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/2",
         "root(" + "7" * 5000 + ", 2)", "sqrt(2/" + "7" * 5000 + ")",
         "sqrt(" + "7" * 5000 + "/0)",
+        "sqrt ( 2 / 3 )", "root( 3 , 7 / 4 )", "1 /\u3000 2", "\u0663/\u0664", "1/00", "00/1",
+        "2sqrt(2)", "root(3/4, 2)", "sqrt(2 ,3)", "1 ) sqrt(-2)",
     ])
     def test_parser_matches_recursive_descent_at_the_edges(self, text):
         _assert_parsed_as_by_descent(text)
@@ -499,6 +513,8 @@ _trees = st.recursive(
     ),
     max_leaves=8,
 )
+# every character str.isspace takes, and so \s in a str pattern
+_SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
 
 
 class TestUnparse:
@@ -506,6 +522,19 @@ class TestUnparse:
     @settings(max_examples=150)
     def test_round_trip(self, tree):
         assert parse(unparse(tree)) == tree
+
+    @given(_trees, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_spaced_text_is_read_leaf_by_leaf(self, tree, data):
+        # any whitespace before, between and after the tokens of a text that
+        # parses: the leaf-level reading takes it all, and the token-level
+        # path is never reached
+        tokens = re.findall(r"\d+|[a-z]+|\S", unparse(tree))
+        gaps = data.draw(st.lists(st.text(st.sampled_from(_SPACES), max_size=3),
+                                  min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        text = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+        with mock.patch.object(exprcli, "_tokenize", side_effect=AssertionError(text)):
+            assert parse(text) == tree
 
     def test_division_survives(self):
         tree = parse("(1)/2")
