@@ -24,14 +24,14 @@ the one case where "/" falls through to division, so "1/0" is division
 by the literal zero and fails at evaluation time (no nonzero
 certificate), not at parse time.
 
-A text is read leaf by leaf: one regular expression takes each rational
-literal and each whole root form as one token, checked and built into
-its tree node, and each operator as another, and one precedence loop
-builds the tree over those tokens.  A text that reading rejects, for a
-character outside the grammar, a leaf that fails its check or a token
-out of place, is read again token by token (digits, names and
-operators, through the same loop), which raises the first error with
-its offset.  Both readings give the same tree for every text.
+A text is read in one scan: one regular expression takes each rational
+literal and each whole root form as one match, and each operator, run of
+letters or other character as another, and one precedence loop builds
+the tree over those matches, each leaf checked and built into its node
+as it is read.  The first error is at the first character outside the
+grammar, wherever it comes; in a text without one, at the first match
+out of place or the first leaf that fails its check.  A name that starts
+no whole root form is always an error, named from the form's pieces.
 
 Exit codes: 0 for any certified answer including "overlap", 2 for
 syntax and domain errors, 3 when certification failed (zero divisor or
@@ -46,9 +46,8 @@ import functools
 import os
 import re
 import sys
-from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import chain, repeat
 
 from . import approx, cut, real
 from .embed import f_embed, g_embed, rational_pair
@@ -102,8 +101,8 @@ class ZeroDivisorAtPrecision(ArithmeticError):
 # ---------------------------------------------------------------------------
 # syntax trees: each node kind lists its `operands` and has two steps, each
 # given its operands' results: `_evaluate`, to a Real, and `_render`, to text;
-# a node compares, hashes and prints by its `_fields`, and is immutable by
-# convention
+# a node compares, hashes and prints by its `_fields`, down the whole tree
+# from an explicit stack, and is immutable by convention
 
 
 # How tightly each infix operator binds, for the parser and for `unparse`
@@ -112,7 +111,37 @@ _TIGHT = 2  # a value or a negation
 _BAD_RADICAND = "root radicand must be a positive rational literal"
 
 
-class Literal(Record):
+class _Node(Record):
+    """Equality, hash and repr as `Record` gives them, read from an explicit
+    stack: a tree of any depth compares, hashes and prints, where recursing
+    through its fields would pass the interpreter's recursion limit."""
+
+    def _values(self) -> tuple:
+        """Each node's class and fields that are no subtree, in preorder."""
+        values, todo = [], [self]
+        while todo:
+            e = todo.pop()
+            fields = [getattr(e, f) for f in e._fields]
+            values += (type(e), *[v for v in fields if not isinstance(v, _Node)])
+            todo += reversed([v for v in fields if isinstance(v, _Node)])
+        return tuple(values)
+
+    def __repr__(self) -> str:
+        parts, todo = [], [self]  # on the stack: nodes, and text ready to print
+        while todo:
+            e = todo.pop()
+            if isinstance(e, str):
+                parts.append(e)
+                continue
+            shown = [f"{type(e).__qualname__}("]
+            for k, f in enumerate(e._fields):
+                v = getattr(e, f)
+                shown += [", " * (k > 0) + f"{f}=", v if isinstance(v, _Node) else repr(v)]
+            todo += reversed([*shown, ")"])
+        return "".join(parts)
+
+
+class Literal(_Node):
     _fields = ("value",)
     operands, precedence = (), _TIGHT
 
@@ -127,7 +156,7 @@ class Literal(Record):
         return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
-class Binary(Record):
+class Binary(_Node):
     """An infix operator; each subclass names its `symbol` and evaluates
     itself.  A product or a quotient is one step on its two operands'
     results; a "+" or "-" is a `Chain`, one step for all its chain's terms."""
@@ -214,7 +243,7 @@ class Div(Binary):
         return super()._render(x, f"({y})" if isinstance(self.right, Literal) else y)
 
 
-class Neg(Record):
+class Neg(_Node):
     _fields = ("operand",)
     operands = property(lambda self: (self.operand,))
     precedence = _TIGHT
@@ -232,7 +261,7 @@ class Neg(Record):
         return f"- {x}" if x.startswith("-") else f"-{x}"
 
 
-class Root(Record):
+class Root(_Node):
     _fields = ("degree", "radicand")
     operands, precedence = (), _TIGHT
 
@@ -311,215 +340,184 @@ def unparse(e: Expr) -> str:
 # parsing
 
 
-# kind is "int", "name", one of "+-*/(),", "end", or "leaf": a whole rational
-# literal or root form, read by `_read_leaves`, whose text is the Literal or
-# Root it reads as and whose offset is None
-_Token = namedtuple("_Token", ("kind", "text", "offset"))
+# One scan of _SCAN reads a text: each match is a whole root form, a
+# rational literal, an operator, a run of letters or any other non-space
+# character, and `lastindex` names which, as each kind is one outer group.
+# Spaces fall between matches.  "/ nat" joins a literal when nat has a digit
+# other than "0" ([^\D0]); a run of other scripts' zeros stays a division.
+# [^\W\d_] also takes numerals that are not letters, such as "²" or "Ⅻ", so
+# a run of letters is a name only when it is all letters.  On str patterns
+# \s is str.isspace and \d str.isdecimal, character by character.
+_SCAN = re.compile(
+    r"((?:sqrt\s*\(|root\s*\(\s*(\d+)\s*,)\s*(-?)\s*(\d+)(?:\s*/\s*(\d+))?\s*\))"
+    r"|((\d+)(?:\s*/\s*(\d*[^\D0]\d*))?)"
+    r"|([-+*/(),])"
+    r"|([^\W\d_]+)"
+    r"|(\S)")
+_ROOT, _DEGREE, _SIGN, _RAD_NUM, _RAD_DEN, _LITERAL, _NUM, _DEN, _OPERATOR, _NAME, _OTHER \
+    = range(1, 12)
 
 
-# A text is first read leaf by leaf: one split on _LEAF takes each root form
-# and each rational literal whole, and each operator alone, so the parts are
-# gap, 7 groups, gap, ..., 7 groups, gap, and every gap must be whitespace.
-# "/ nat" joins a literal when nat has a digit other than "0" ([^\D0]); as
-# `_literal` absorbs it only when its value is nonzero, a run of other
-# scripts' zeros sends the text to the token-level reading.  A "," or a
-# letter outside a whole root form is left in a gap.
-_LEAF = re.compile(
-    r"(?:sqrt\s*\(|root\s*\(\s*(\d+)\s*,)\s*(-?)\s*(\d+)(?:\s*/\s*(\d+))?\s*\)"
-    r"|(\d+)(?:\s*/\s*(\d*[^\D0]\d*))?"
-    r"|([-+*/()])")
-_OPERATOR_TOKENS = {c: _Token(c, c, None) for c in "+-*/()"}
-_END = _Token("end", "", None)
-
-
-def _read_leaves(text: str) -> list[_Token] | None:
-    """The text as "leaf" and operator tokens, each leaf checked as `_literal`
-    and `_root_form` check it, and an "end"; None when a gap is not
-    whitespace or a leaf fails a check."""
-    parts = _LEAF.split(text)
-    gaps = "".join(parts[::8])
-    if gaps and not gaps.isspace():
-        return None
-    tokens = []
-    try:
-        for degree, sign, rad_num, rad_den, num, den, op, _ in zip(*[iter(parts[1:])] * 8):
-            if op:
-                tokens.append(_OPERATOR_TOKENS[op])
-                continue
-            if num:
-                leaf = Literal(Fraction(int(num), int(den)) if den else int(num))
-            else:
-                value = Fraction(int(rad_num), int(rad_den)) if rad_den else int(rad_num)
-                if sign or not value:
-                    return None
-                degree = int(degree) if degree else 2
-                cut.check_root_degree(degree)
-                leaf = Root(degree, Literal(value))
-            tokens.append(tuple.__new__(_Token, ("leaf", leaf, None)))  # no Python-level call
-    except (ValueError, ZeroDivisionError):  # past int()'s digit cap, p/0, a bad degree
-        return None
-    tokens.append(_END)
-    return tokens
-
-
-# A token is a run of decimal digits, a run of letters or an operator, and
-# one split on them reads the whole text: the parts alternate gap, token,
-# gap, ..., token, gap, and every gap must be whitespace.  On str patterns
-# \d is str.isdecimal, character by character, but [^\W\d_] also takes
-# numerals that are not letters, such as "²" or "Ⅻ", so a run it takes is
-# a name only when it is all letters.
-_TOKEN = re.compile(r"(\d+|[^\W\d_]+|[-+*/(),])")
-_OPERATORS = {c: c for c in "+-*/(),"}  # an operator's kind is its text
-
-
-def _tokenize(text: str) -> list[_Token]:
-    parts = _TOKEN.split(text)
-    words = parts[1::2]
-    # None marks a run of letters and numerals
-    kinds = [_OPERATORS.get(w) or ("int" if w.isdecimal() else "name" if w.isalpha() else None)
-             for w in words]
-    gaps = "".join(parts[::2])
-    if gaps and not gaps.isspace() or None in kinds:
-        raise _first_error(parts)
-    kinds.append("end")
-    words.append("")
-    # a token starts where the gap before it ends, and "end" where the last gap does
-    starts = list(accumulate(map(len, parts)))[::2]
-    # tuple.__new__ makes each _Token from its fields with no Python-level call
-    return list(map(tuple.__new__, repeat(_Token), zip(kinds, words, starts)))
-
-
-def _first_error(parts: list[str]) -> ParseError:
-    """The error at the first character no token takes, in the parts of a
-    rejected text: a gap's first non-space, or a run's first non-letter
-    when it is no number or operator (the letters end at a numeral)."""
-    at = 0
-    for i, part in enumerate(parts):
-        if i % 2 == 0 or not (part in _OPERATORS or part.isdecimal()):
-            ok = str.isalpha if i % 2 else str.isspace
-            for k, c in enumerate(part):
-                if not ok(c):
-                    return ParseError(f"unexpected character {c!r}", at + k)
-        at += len(part)
-    raise AssertionError("no character of the text is rejected")
-
-
-def _int(tok: _Token, what: str | None = None) -> int:
-    """The value of a token that must be an "int", as `_expect` checks it.
+def _int(m: re.Match, group: int) -> int:
+    """A group of decimal digits as an int.
 
     int() accepts every run of decimal digits, so only the interpreter's
     cap on the digits of one conversion can reject it.
     """
-    if tok.kind != "int":
-        _expect(tok, "int", what)
     try:
-        return int(tok.text)
+        return int(m[group])
     except ValueError:
-        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
-                         tok.offset) from None
+        raise ParseError(f"integer literal of {len(m[group])} digits is too long",
+                         m.start(group)) from None
 
 
-def _expect(tok: _Token, kind: str, what: str | None = None) -> _Token:
-    if tok.kind != kind:
-        raise ParseError(f"expected {what or repr(kind)}, "
-                         f"found {tok.text or 'end of input'!r}", tok.offset)
-    return tok
+def _radicand(sign: str, num: int, den: int | None, offset: int) -> Fraction | int:
+    """The value of a radicand read as its sign, numerator and denominator;
+    a sign or a zero value (p/0 too) is a DomainError at `offset`."""
+    value = num if den is None else Fraction(num, den) if den else 0
+    if sign or not value:
+        raise DomainError(_BAD_RADICAND, offset)
+    return value
 
 
-def _literal(tokens: list[_Token], i: int) -> tuple[Literal, int]:
-    """The rational literal at tokens[i], and the index after it."""
-    num = _int(tokens[i], "a value")
-    # "/ nat" joins the literal unless nat is 0, which stays behind as a division
-    if tokens[i + 1].kind == "/" and tokens[i + 2].kind == "int" \
-            and (den := _int(tokens[i + 2])) > 0:
-        return Literal(Fraction(num, den)), i + 3
-    return Literal(num), i + 1
-
-
-def _root_form(tokens: list[_Token], i: int) -> tuple[Root, int]:
-    """The `sqrt(...)` or `root(...)` at tokens[i], and the index after it."""
-    name = tokens[i]
-    if name.text not in ("sqrt", "root"):
-        raise ParseError(f"unknown function {name.text!r}", name.offset)
-    _expect(tokens[i + 1], "(")
-    i += 2
-    degree, deg_tok = 2, name  # sqrt's degree always passes the rule
-    if name.text == "root":
-        degree = _int(deg_tok := tokens[i])
-        _expect(tokens[i + 1], ",")
-        i += 2
-    sign = tokens[i]  # the radicand's first token
-    i += sign.kind == "-"
-    value = _int(tokens[i], "a rational literal")
-    if tokens[i + 1].kind == "/":
-        value = Fraction(value, den) if (den := _int(tokens[i + 2])) else 0  # p/0: no radicand
-        i += 2
-    if sign.kind == "-" or value == 0:
-        raise DomainError(_BAD_RADICAND, sign.offset)
-    _expect(tokens[i + 1], ")")
+def _root(m: re.Match) -> Root:
+    """The Root of a whole root form's match."""
+    degree = _int(m, _DEGREE) if m[_DEGREE] else 2
+    num = _int(m, _RAD_NUM)
+    den = _int(m, _RAD_DEN) if m[_RAD_DEN] else None
+    value = _radicand(m[_SIGN], num, den, m.start(_SIGN))
     try:
         cut.check_root_degree(degree)
     except cut.BadDegreeError as exc:
-        raise DomainError(str(exc), deg_tok.offset) from None
-    return Root(degree, Literal(value)), i + 2
+        raise DomainError(str(exc), m.start(_DEGREE)) from None
+    return Root(degree, Literal(value))
+
+
+def _token(m: re.Match | None) -> str:
+    """The text of a match's first token, as a diagnostic names it."""
+    if m is None:
+        return "end of input"
+    return m[_NUM] if m.lastindex == _LITERAL else m[0][:4] if m.lastindex == _ROOT else m[0]
+
+
+def _expected(what: str, m: re.Match | None, text: str) -> ParseError:
+    return ParseError(f"expected {what}, found {_token(m)!r}",
+                      len(text) if m is None else m.start())
+
+
+def _bad_character(matches: list[re.Match]) -> ParseError | None:
+    """The error at the first character no token takes among `matches`: any
+    other non-space character (never a letter), or a numeral inside a run
+    of letters."""
+    for m in matches:
+        if m.lastindex == _OTHER or m.lastindex == _NAME and not m[0].isalpha():
+            k = next(k for k, c in enumerate(m[0]) if not c.isalpha())
+            return ParseError(f"unexpected character {m[0][k]!r}", m.start() + k)
+    return None
+
+
+def _stray_name(text: str, matches: list[re.Match]) -> None:
+    """Raise the error of a name that starts no whole root form, read from
+    its match and the matches after it.  A whole form would have matched as
+    one, so a piece of it is missing or out of place, an integer is too long
+    or the radicand is out of range, and the degree rule is never reached."""
+    name = matches[0]
+    if name[0] not in ("sqrt", "root"):
+        raise ParseError(f"unknown function {name[0]!r}", name.start())
+    pieces = chain(matches[1:], repeat(None))  # None past the end
+
+    def expect(symbol: str) -> None:
+        if (m := next(pieces)) is None or m[0] != symbol:
+            raise _expected(repr(symbol), m, text)
+
+    def literal(what: str, m: re.Match | None) -> re.Match:
+        if m is None or m.lastindex != _LITERAL:
+            raise _expected(what, m, text)
+        return m
+
+    expect("(")
+    if name[0] == "root":
+        degree = literal("'int'", next(pieces))
+        _int(degree, _NUM)  # the digit cap comes before the ","
+        if degree[_DEN]:  # the "/" of a literal p/q stands where the "," should
+            raise ParseError("expected ',', found '/'", degree.start() + degree[0].index("/"))
+        expect(",")
+    sign = next(pieces)
+    num = literal("a rational literal", next(pieces) if sign and sign[0] == "-" else sign)
+    value = _int(num, _NUM)
+    den = _int(num, _DEN) if num[_DEN] else None
+    after = next(pieces)
+    if den is None and after and after[0] == "/":
+        # nat is 0, or the literal would have taken "/ nat": the radicand is refused
+        den = _int(literal("'int'", next(pieces)), _NUM)
+    _radicand("" if num is sign else "-", value, den, sign.start())
+    # the form would have matched whole if a ")" came here
+    raise _expected("')'", after, text)
 
 
 def parse(text: str) -> Expr:
     """Parse an expression; ParseError and DomainError carry byte offsets.
 
-    The text is read leaf by leaf (`_read_leaves`), and read again token by
-    token (`_tokenize`) only when that reading rejects it, so that the
-    first error and its offset are the token-level reading's.
+    One scan of the text (`_SCAN`) takes each root form and each rational
+    literal whole, and one precedence loop over an explicit stack builds the
+    tree from its matches, each leaf checked as it is read.  The error is at
+    the first character no token takes, wherever it is, and otherwise the
+    loop's first, at the match it read.
     """
-    tokens = _read_leaves(text)
-    if tokens is not None:
-        try:
-            return _read_tree(tokens)
-        except ParseError:
-            pass
-    return _read_tree(_tokenize(text))
-
-
-def _read_tree(tokens: list[_Token]) -> Expr:
-    """The tree of a token list, "leaf" tokens or the tokenizer's, by one
-    precedence loop over an explicit stack."""
-    i = 0
+    scan = _SCAN.finditer(text)
+    m = None
     ops: list[str] = []  # pending: infix symbols, "(" and "neg" (a unary minus)
     lefts: list[Expr] = []  # the left operand of each pending infix symbol
-    while True:
-        tok = tokens[i]
-        if tok.kind in ("-", "("):
-            if len(ops) - len(lefts) == MAX_NESTING:  # the "(" and "neg" entries
-                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
-            ops.append("neg" if tok.kind == "-" else "(")
-            i += 1
-            continue
-        if tok.kind == "leaf":
-            value, i = tok.text, i + 1
-        else:
-            value, i = (_root_form if tok.kind == "name" else _literal)(tokens, i)
-        while True:  # after a value: close what it completes
-            while ops and ops[-1] == "neg":
-                value = Neg(value)
+    try:
+        while True:
+            m = next(scan, None)
+            kind = m and m.lastindex
+            if kind == _LITERAL:
+                value = _int(m, _NUM)
+                if m[_DEN]:
+                    if den := _int(m, _DEN):
+                        value = Fraction(value, den)
+                    else:  # other scripts' zeros: the "/" is read again as a division
+                        scan = _SCAN.finditer(text, m.end(_NUM))
+                value = Literal(value)
+            elif kind == _ROOT:
+                value = _root(m)
+            elif kind == _OPERATOR and m[0] in ("-", "("):
+                if len(ops) - len(lefts) == MAX_NESTING:  # the "(" and "neg" entries
+                    raise ParseError(f"nesting deeper than {MAX_NESTING} levels", m.start())
+                ops.append("neg" if m[0] == "-" else "(")
+                continue
+            elif kind == _NAME:
+                scan = [m, *scan]  # the rest, kept for the handler below
+                _stray_name(text, scan)
+            else:
+                raise _expected("a value", m, text)
+            while True:  # after a value: close what it completes
+                while ops and ops[-1] == "neg":
+                    value = Neg(value)
+                    ops.pop()
+                m = next(scan, None)
+                symbol = m[0] if m else ""
+                # reduce what binds at least as tightly (left associative); a token
+                # that is no infix operator reduces everything up to a parenthesis
+                level = _PRECEDENCE.get(symbol, 0)
+                while ops and _PRECEDENCE.get(ops[-1], -1) >= level:
+                    value = _BINARY[ops.pop()](lefts.pop(), value)
+                if symbol in _PRECEDENCE:
+                    lefts.append(value)
+                    ops.append(symbol)
+                    break
+                if not ops and m is None:
+                    return value
+                if not ops:
+                    raise ParseError(f"unexpected trailing input {_token(m)!r}", m.start())
+                if symbol != ")":  # ops[-1] is the innermost open "("
+                    raise _expected("')'", m, text)
                 ops.pop()
-            tok = tokens[i]
-            # reduce what binds at least as tightly (left associative); a token
-            # that is no infix operator reduces everything up to a parenthesis
-            level = _PRECEDENCE.get(tok.kind, 0)
-            while ops and _PRECEDENCE.get(ops[-1], -1) >= level:
-                value = _BINARY[ops.pop()](lefts.pop(), value)
-            if tok.kind in _PRECEDENCE:
-                lefts.append(value)
-                ops.append(tok.kind)
-                i += 1
-                break
-            if not ops and tok.kind != "end":
-                raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
-            if not ops:
-                return value
-            _expect(tok, ")")  # ops[-1] is the innermost open "("
-            ops.pop()
-            i += 1
+    except (ParseError, DomainError) as exc:
+        # every match before m was read as a token, so the first character no
+        # token takes, if any, is in m or after it
+        raise _bad_character([m, *scan] if m else ()) or exc from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -63,8 +64,12 @@ def lit(num, den=1):
     return Literal(Fraction(num, den))
 
 
+_Tok = namedtuple("_Tok", ("kind", "text", "offset"))
+
+
 def _tokenize_by_characters(text):
-    """The tokenizer as a loop over characters: (kind, text, offset) triples."""
+    """The tokens of a text, by a loop over characters: (kind, text, offset)
+    triples, kind "int", "name", an operator or "end"."""
     tokens = []
     i = 0
     while i < len(text):
@@ -76,27 +81,38 @@ def _tokenize_by_characters(text):
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", text[i:j], i))
+            tokens.append(_Tok("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i
             while j < len(text) and text[j].isalpha():
                 j += 1
-            tokens.append(("name", text[i:j], i))
+            tokens.append(_Tok("name", text[i:j], i))
             i = j
             continue
         if ch in "+-*/(),":
-            tokens.append((ch, ch, i))
+            tokens.append(_Tok(ch, ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
+    tokens.append(_Tok("end", "", len(text)))
     return tokens
 
 
+def _int(tok):
+    """An "int" token's value; only the interpreter's cap on the digits of
+    one conversion can reject it."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                         tok.offset) from None
+
+
 class _DescentParser:
-    """The parser as recursive descent, one method per grammar rule.
+    """The parser as recursive descent, one method per grammar rule, over the
+    tokens of `_tokenize_by_characters`.
 
     `parse` must agree with it on every text: the same tree, or the same
     exception type, message and offset.  It recurses about four frames
@@ -107,7 +123,7 @@ class _DescentParser:
     BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
     def __init__(self, text):
-        self.tokens = exprcli._tokenize(text)
+        self.tokens = _tokenize_by_characters(text)
         self.pos = 0
         self.depth = 0  # open parentheses and unary minus signs around pos
 
@@ -171,12 +187,12 @@ class _DescentParser:
                          tok.offset)
 
     def rational(self):
-        num = exprcli._int(self.expect("int"))
+        num = _int(self.expect("int"))
         den = 1
         if self.peek().kind == "/" and self.peek(1).kind == "int" \
-                and exprcli._int(self.peek(1)) > 0:
+                and _int(self.peek(1)) > 0:
             self.take()
-            den = exprcli._int(self.take())
+            den = _int(self.take())
         return Fraction(num, den)
 
     def radicand(self):
@@ -190,11 +206,11 @@ class _DescentParser:
             raise ParseError(
                 f"expected a rational literal, found {start.text or 'end of input'!r}",
                 start.offset)
-        num = exprcli._int(self.take())
+        num = _int(self.take())
         den = 1
         if self.peek().kind == "/":
             self.take()
-            den = exprcli._int(self.expect("int"))
+            den = _int(self.expect("int"))
         if negative or num == 0 or den == 0:
             raise DomainError("root radicand must be a positive rational literal",
                               tok.offset)
@@ -208,7 +224,7 @@ class _DescentParser:
         degree, deg_tok = 2, name
         if name.text == "root":
             deg_tok = self.expect("int")
-            degree = exprcli._int(deg_tok)
+            degree = _int(deg_tok)
             self.expect(",")
         rad = self.radicand()
         self.expect(")")
@@ -260,9 +276,9 @@ def _flat(e):
 
 # pieces of texts for the parser parity test: the grammar's tokens and
 # forms, its error cases, an oversized literal, runs of openers and
-# closers at and around the nesting limit, and leaves with whitespace or
-# other scripts' digits inside, or next to what the leaf-level reading
-# leaves to the token-level one
+# closers at and around the nesting limit, leaves with whitespace or
+# other scripts' digits inside, zero denominators in other scripts, names
+# that start no whole root form and root forms cut short
 _PIECES = (
     "0", "1", "7", "12", "2/3", "3/0", "0/4", " ", "+", "-", "*", "/", "(", ")",
     ",", "sqrt", "root", "sqrt(", "root(", "root(3,", "root(0, ", "root(1,",
@@ -274,6 +290,9 @@ _PIECES = (
     ")" * (MAX_NESTING // 2), ")" * MAX_NESTING,
     "sqrt ( 2 / 3 )", "root( 3 , 7 / 4 )", "1 /\u3000 2", "\u0663/\u0664", "1/00", "00/1",
     "2sqrt(2)", "root(3/4, 2)", "sqrt(2 ,3)", "1 ) sqrt(-2)",
+    "1/\u0660\u0660", "1/\u0660/5", "\u0660/5", "sqrt(2/\u0660)", "1 + root(3/\u0660, 2)",
+    "sqrt(sqrt(2))", "xsqrt(2)", "sqrtx(2)", "sqrt2", "root(3, 2) root",
+    "sqrt(2/", "root(3", "sqrt(-", "sqrt(0 sqrt(2))",
 )
 _piece_texts = st.lists(st.sampled_from(_PIECES), max_size=14).map("".join)
 
@@ -387,16 +406,15 @@ class TestParse:
     @given(_token_texts)
     @settings(max_examples=300, deadline=None)
     def test_tokenizer_matches_the_character_loop(self, text):
-        # the pattern must split and reject exactly as a loop over
-        # str.isspace, str.isdecimal and str.isalpha did
+        # the scan must reject exactly as a loop over str.isspace,
+        # str.isdecimal and str.isalpha does, and read what it takes as the
+        # descent parser reads the loop's tokens
         try:
-            expected = _tokenize_by_characters(text)
+            _tokenize_by_characters(text)
         except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                exprcli._tokenize(text)
-            assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
+            assert _outcome(parse, text) == (ParseError, str(exc), exc.offset)
         else:
-            assert [(t.kind, t.text, t.offset) for t in exprcli._tokenize(text)] == expected
+            _assert_parsed_as_by_descent(text)
 
     @staticmethod
     def long_sum():
@@ -415,19 +433,16 @@ class TestParse:
         # however far into the text it comes
         text = self.long_sum()
         assert len(text) > 25_000
-        assert [(t.kind, t.text, t.offset) for t in exprcli._tokenize(text)] \
-            == _tokenize_by_characters(text)
+        assert _flat(parse(text)) == _flat(_DescentParser(text).parse())
         for tail, bad in [(" @ 1", "@"),  # in a gap
                           (" + sqrt²(2)", "²"),  # a numeral inside a name
                           (" + ab²c $ 1", "²"),  # the numeral comes first
                           (" $ ab²c", "$")]:  # the gap comes first
             with pytest.raises(ParseError) as expected:
                 _tokenize_by_characters(text + tail)
-            with pytest.raises(ParseError) as got:
-                exprcli._tokenize(text + tail)
-            assert (str(got.value), got.value.offset) == (str(expected.value),
-                                                          expected.value.offset)
-            assert got.value.offset == len(text) + tail.index(bad) > 10_000
+            assert _outcome(parse, text + tail) == (ParseError, str(expected.value),
+                                                    expected.value.offset)
+            assert expected.value.offset == len(text) + tail.index(bad) > 10_000
 
     @pytest.mark.parametrize("text, offset", [
         ("1 + " + "7" * 5000, 4),
@@ -443,8 +458,8 @@ class TestParse:
         assert "set_int_max_str_digits" not in str(exc.value)
 
     def test_leaf_pattern_classes_are_the_str_predicates(self):
-        # the leaf-level reading and the tokenizer take the same digits and
-        # gaps: on every code point \s is str.isspace and \d str.isdecimal
+        # the scan and the character loop take the same digits and gaps: on
+        # every code point \s is str.isspace and \d str.isdecimal
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
         assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
@@ -475,6 +490,9 @@ class TestParse:
         "sqrt(" + "7" * 5000 + "/0)",
         "sqrt ( 2 / 3 )", "root( 3 , 7 / 4 )", "1 /\u3000 2", "\u0663/\u0664", "1/00", "00/1",
         "2sqrt(2)", "root(3/4, 2)", "sqrt(2 ,3)", "1 ) sqrt(-2)",
+        "1/\u0660\u0660", "1/\u0660/5", "\u0660/5", "sqrt(2/\u0660)", "1 + root(3/\u0660, 2)",
+        "sqrt(sqrt(2))", "xsqrt(2)", "sqrtx(2)", "sqrt2", "root(3, 2) root",
+        "sqrt(2/", "root(3", "sqrt(-", "sqrt(0 sqrt(2))",
     ])
     def test_parser_matches_recursive_descent_at_the_edges(self, text):
         _assert_parsed_as_by_descent(text)
@@ -527,13 +545,13 @@ class TestUnparse:
     @settings(max_examples=150, deadline=None)
     def test_spaced_text_is_read_leaf_by_leaf(self, tree, data):
         # any whitespace before, between and after the tokens of a text that
-        # parses: the leaf-level reading takes it all, and the token-level
-        # path is never reached
+        # parses: the scan takes each root form whole, so the error reader of
+        # a name that starts no whole form is never reached
         tokens = re.findall(r"\d+|[a-z]+|\S", unparse(tree))
         gaps = data.draw(st.lists(st.text(st.sampled_from(_SPACES), max_size=3),
                                   min_size=len(tokens) + 1, max_size=len(tokens) + 1))
         text = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
-        with mock.patch.object(exprcli, "_tokenize", side_effect=AssertionError(text)):
+        with mock.patch.object(exprcli, "_stray_name", side_effect=AssertionError(text)):
             assert parse(text) == tree
 
     def test_division_survives(self):
@@ -783,6 +801,20 @@ class TestLiteralValues:
         assert repr(parse("-1")) == "Neg(operand=Literal(value=1))"
         # nodes of another kind never compare equal, even with equal fields
         assert parse("1 + 2") != parse("1 - 2") and parse("1 + 2") != (1, 2)
+
+    def test_deep_trees_compare_hash_and_print(self):
+        # equality, hash and repr read a tree from an explicit stack, so a
+        # 3 000-term chain needs no recursion at the default limit
+        text = "+".join(["1"] * 3000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            tree, same, other = parse(text), parse(text), parse(text[:-1] + "2")
+            assert tree == same and hash(tree) == hash(same) and tree != other
+            assert repr(tree) == ("Add(left=" * 2999 + "Literal(value=1)"
+                                  + ", right=Literal(value=1))" * 2999)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_a_chain_reads_its_spine_once(self, monkeypatch):
         readings = []
