@@ -215,8 +215,8 @@ class Leaf(Cut):
         lo, hi = self.witnesses()
         return _grid_bracket(self, (lo.num, lo.den), (hi.num, hi.den), n)
 
-    def _grid_cell(self, grid: int, base: int, step: int, k: int) -> int:
-        # the last of the points (base + j*step)/grid, j = 0..2^k, that is a member
+    def _grid_cell(self, grid: int, base: int, step: int, count: int) -> int:
+        # the last of the points (base + j*step)/grid, j = 0..count, that is a member
         return (self.largest_member_numerator(grid) - base) // step
 
     def _climb(self, x: PosRational) -> PosRational:
@@ -231,7 +231,7 @@ class Leaf(Cut):
 
 
 class RationalCut(Leaf):
-    """All positive rationals strictly below a given one.
+    """The segment of everything strictly below the rational bound: `s_r`.
 
     Its witnesses are the bound, out, and the mediant of the bound with
     the origin corner, (num, den + 1), in.  The bound is a point of every
@@ -272,11 +272,16 @@ class RationalCut(Leaf):
 
 
 class RootCut(Leaf):
-    """All positive rationals whose k-th power is below the radicand."""
+    """The segment whose value is the degree-th root of the radicand: `root_cut`.
+
+    Its members are the positive rationals whose degree-th power is below
+    the radicand; the degree must pass `check_root_degree`.
+    """
 
     __slots__ = ("degree", "radicand")
 
     def __init__(self, degree: int, radicand: PosRational) -> None:
+        check_root_degree(degree)
         # the Cut slots are set here, as on a rational leaf; r <= ceil(r) < 2^b,
         # so r^(1/k) < 2^ceil(b/k): O(1), where an integer k-th root would
         # cost every leaf built
@@ -311,11 +316,13 @@ class RootCut(Leaf):
 
 
 class OracleCut(Leaf):
-    """A leaf defined by a caller-supplied exact membership predicate.
+    """A leaf defined by a caller-supplied exact membership predicate: `oracle_cut`.
 
     The predicate must describe a genuine initial segment: downward
     closed, no maximum, neither empty nor everything.  The library
-    cannot check that; it only spot-checks the two witnesses.  Its
+    cannot check that; it only spot-checks the two witnesses, and
+    refuses the leaf (ValueError) unless the inside one is accepted and
+    the outside one rejected.  Its
     predicate is opaque, so its cell and its largest member numerator
     are searches, and its tightest bracket is its one cache, kept like a
     composite's.
@@ -326,6 +333,10 @@ class OracleCut(Leaf):
 
     def __init__(self, member: Callable[[PosRational], bool],
                  witness_in: PosRational, witness_out: PosRational) -> None:
+        if not member(witness_in):
+            raise ValueError(f"witness_in {witness_in} rejected by the predicate")
+        if member(witness_out):
+            raise ValueError(f"witness_out {witness_out} accepted by the predicate")
         super().__init__(ceil_int(witness_out))
         self.member = member
         self.witness_in = witness_in
@@ -337,10 +348,10 @@ class OracleCut(Leaf):
     def witnesses(self) -> tuple[PosRational, PosRational]:
         return self.witness_in, self.witness_out
 
-    def _grid_cell(self, grid: int, base: int, step: int, k: int) -> int:
-        # bisection over the 2^k cells, one membership test a halving: point
-        # 0 is the inside witness and point 2^k the outside one
-        lo, hi = 0, 1 << k
+    def _grid_cell(self, grid: int, base: int, step: int, count: int) -> int:
+        # bisection over the count cells, one membership test a halving:
+        # point 0 is a member (or 0) and point count is not
+        lo, hi = 0, count
         while hi - lo > 1:
             mid = (lo + hi) >> 1
             if membership_leaf(self, PosRational(base + mid * step, grid)):
@@ -354,13 +365,7 @@ class OracleCut(Leaf):
         floor(witness_in*den), in or 0, and ceil(witness_out*den), out."""
         w_in, w_out = self.witness_in, self.witness_out
         lo, hi = w_in.num * den // w_in.den, -(-w_out.num * den // w_out.den)
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if membership_leaf(self, PosRational(mid, den)):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return lo + self._grid_cell(den, lo, 1, hi - lo)
 
     def __repr__(self) -> str:
         return f"(oracle {self.witness_in} {self.witness_out})"
@@ -423,7 +428,7 @@ class Sum(Cut):
 
 
 class Product(Cut):
-    """Pairwise products of members of the two operands.
+    """Pairwise products of members of the two operands: `mul`.
 
     The exact product of brackets (x, X] and (y, Y] is X*Y - x*y =
     X*(Y - y) + y*(X - x) wide, so each operand's error costs the other
@@ -462,7 +467,7 @@ class Product(Cut):
 
 
 class Inverse(Cut):
-    """Rationals lying below the reciprocal of some non-member.
+    """Rationals lying below the reciprocal of some non-member: `inverse`.
 
     Built with x0, the lower end of its operand's bracket at n = 1, a
     member of the operand: the value is below 1/x0, so ceil(1/x0) + 1 is
@@ -508,7 +513,7 @@ class Inverse(Cut):
 
 
 class Difference(Cut):
-    """The unique cut that, added to `lower`, gives `upper`.
+    """The unique cut that, added to `lower`, gives `upper`: `difference`.
 
     Membership: every z expressible as x - y with x a member of upper,
     y a non-member of lower and x > y.  Only meaningful when lower's
@@ -555,11 +560,17 @@ class Difference(Cut):
 
 
 class SupFinite(Cut):
-    """Union of finitely many cuts: the least upper bound of the family."""
+    """Union of finitely many cuts, the least upper bound of the family: `sup_finite`.
+
+    It takes any iterable of cuts and refuses an empty one (EmptyFamilyError).
+    """
 
     __slots__ = ("members",)
 
-    def __init__(self, members: tuple[Cut, ...]) -> None:
+    def __init__(self, members: Iterable[Cut]) -> None:
+        members = tuple(members)
+        if not members:
+            raise EmptyFamilyError("sup_finite of an empty family")
         super().__init__(max(m.ceiling for m in members))
         self.members = members
 
@@ -574,18 +585,16 @@ class SupFinite(Cut):
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: each name is its node class, and the class checks its
+# arguments; `add` and `add_all` adapt their arguments to `Sum`'s tuple
 
-
-def s_r(r: PosRational) -> RationalCut:
-    """The segment of everything strictly below the rational r."""
-    return RationalCut(r)
-
-
-def root_cut(degree: int, radicand: PosRational) -> RootCut:
-    """The segment whose value is the degree-th root of the radicand."""
-    check_root_degree(degree)
-    return RootCut(degree, radicand)
+s_r = RationalCut
+root_cut = RootCut
+oracle_cut = OracleCut
+mul = Product
+inverse = Inverse
+difference = Difference
+sup_finite = SupFinite
 
 
 def check_root_degree(degree: int) -> None:
@@ -597,15 +606,6 @@ def check_root_degree(degree: int) -> None:
         raise BadDegreeError(f"root degree must be {bound}, got {degree}")
 
 
-def oracle_cut(member: Callable[[PosRational], bool],
-               witness_in: PosRational, witness_out: PosRational) -> OracleCut:
-    if not member(witness_in):
-        raise ValueError(f"witness_in {witness_in} rejected by the predicate")
-    if member(witness_out):
-        raise ValueError(f"witness_out {witness_out} accepted by the predicate")
-    return OracleCut(member, witness_in, witness_out)
-
-
 def add(a: Cut, b: Cut) -> Sum:
     """The two-term sum a + b: `add_all((a, b))`."""
     return Sum((a, b))
@@ -614,28 +614,6 @@ def add(a: Cut, b: Cut) -> Sum:
 def add_all(terms: Iterable[Cut]) -> Sum:
     """The sum of two or more terms, left to right, as one node."""
     return Sum(tuple(terms))
-
-
-def mul(a: Cut, b: Cut) -> Product:
-    return Product(a, b)
-
-
-def inverse(a: Cut) -> Inverse:
-    """The reciprocal cut; brackets a once, at n = 1, when it is built."""
-    return Inverse(a)
-
-
-def difference(a: Cut, b: Cut, budget: int | None = None) -> Difference:
-    """The cut c with a + c = b, once brackets within the budget put a below b
-    (NotGreaterError once they put b below a)."""
-    return Difference(a, b, budget)
-
-
-def sup_finite(members: Iterable[Cut]) -> SupFinite:
-    family = tuple(members)
-    if not family:
-        raise EmptyFamilyError("sup_finite of an empty family")
-    return SupFinite(family)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +704,7 @@ def _grid_bracket(a: Leaf, lo: tuple[int, int], hi: tuple[int, int], n: int) -> 
     k = (-(-step * n // den) - 1).bit_length()  # 2^k >= ceil(gap * n)
     grid = den << k
     base <<= k
-    j = a._grid_cell(grid, base, step, k)
+    j = a._grid_cell(grid, base, step, 1 << k)
     return Bracket(PosRational(base + j * step, grid),
                    PosRational(base + (j + 1) * step, grid))
 

@@ -71,7 +71,8 @@ MAX_ROOT_DEGREE = cut.MAX_ROOT_DEGREE
 
 
 class ParseError(ValueError):
-    """Input rejected by the grammar; `offset` is the byte it happened at."""
+    """Input rejected by the grammar; `offset` is the index of the character
+    it happened at, in characters of the text, not bytes of its encoding."""
 
     def __init__(self, message: str, offset: int) -> None:
         self.offset = offset
@@ -456,7 +457,7 @@ def _stray_name(text: str, matches: list[re.Match]) -> None:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression; ParseError and DomainError carry byte offsets.
+    """Parse an expression; ParseError and DomainError carry character offsets.
 
     One scan of the text (`_SCAN`) takes each root form and each rational
     literal whole, and one precedence loop over an explicit stack builds the

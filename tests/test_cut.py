@@ -41,7 +41,10 @@ from segreals import (
 )
 from segreals.cut import (
     Inverse,
+    OracleCut,
     Product,
+    RootCut,
+    SupFinite,
     _grid_above,
     _grid_below,
     _grid_bits,
@@ -104,32 +107,37 @@ class TestMembership:
         assert not membership_leaf(leaf, q(7, 2))
 
     def test_oracle_leaf_rejects_bad_witnesses(self):
-        with pytest.raises(ValueError):
-            oracle_cut(lambda x: x < q(3), q(3), q(4))
-        with pytest.raises(ValueError):
-            oracle_cut(lambda x: x < q(3), q(2), q(5, 2))
+        # the public name and the class refuse alike, with the same message
+        for make in (oracle_cut, OracleCut):
+            with pytest.raises(ValueError, match=re.escape(f"witness_in {q(3)} rejected")):
+                make(lambda x: x < q(3), q(3), q(4))
+            with pytest.raises(ValueError, match=re.escape(f"witness_out {q(5, 2)} accepted")):
+                make(lambda x: x < q(3), q(2), q(5, 2))
 
     def test_composite_has_no_membership(self):
         with pytest.raises(NotALeafError):
             membership_leaf(add(s_r(q(1)), s_r(q(1))), q(1))
 
     def test_root_degree_validated(self):
-        with pytest.raises(BadDegreeError):
-            root_cut(1, q(2))
-        with pytest.raises(BadDegreeError):
-            root_cut(0, q(2))
+        # the public name and the class refuse alike, with the same message
+        for make in (root_cut, RootCut):
+            for degree in (1, 0):
+                with pytest.raises(BadDegreeError, match=f"at least 2, got {degree}$"):
+                    make(degree, q(2))
 
     @pytest.mark.parametrize("degree", [2.5, 2.0, "2"], ids=["float", "whole-float", "str"])
     def test_root_degree_must_be_an_int(self, degree):
         message = f"root degree must be an int, got {degree!r}"
-        with pytest.raises(TypeError, match=re.escape(message)):
-            root_cut(degree, q(2))
+        for make in (root_cut, RootCut):
+            with pytest.raises(TypeError, match=re.escape(message)):
+                make(degree, q(2))
 
     def test_root_degree_capped(self):
         cap = exprcli.MAX_ROOT_DEGREE
-        assert root_cut(cap, q(2)).degree == cap
-        with pytest.raises(BadDegreeError, match=f"at most {cap}, got {cap + 1}"):
-            root_cut(cap + 1, q(2))
+        for make in (root_cut, RootCut):
+            assert make(cap, q(2)).degree == cap
+            with pytest.raises(BadDegreeError, match=f"at most {cap}, got {cap + 1}"):
+                make(cap + 1, q(2))
 
     @given(leaves, small_rationals, small_rationals)
     def test_downward_closure(self, leaf, x, y):
@@ -494,8 +502,11 @@ class TestCompositeBrackets:
         assert b.hi.num ** 2 >= 2 * b.hi.den ** 2
 
     def test_sup_rejects_empty_family(self):
-        with pytest.raises(EmptyFamilyError):
-            sup_finite([])
+        # the public name and the class refuse alike, an empty list or iterator
+        for make in (sup_finite, SupFinite):
+            for family in ([], iter(())):
+                with pytest.raises(EmptyFamilyError, match="^sup_finite of an empty family$"):
+                    make(family)
 
     def test_deep_nesting_still_certifies(self):
         expr = mul(add(root_cut(2, q(2)), inverse(s_r(q(3)))),

@@ -359,6 +359,7 @@ class TestParse:
         ("log(2)", 0),
         ("sqrt(2/3 + 1)", 9),
         ("2\u00b2", 1),  # a superscript digit is not a decimal digit
+        ("\u0663 $", 2),  # offsets count characters: "$" is byte 3 in UTF-8
     ])
     def test_syntax_errors_carry_offsets(self, text, offset):
         with pytest.raises(ParseError) as exc:
