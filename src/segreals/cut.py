@@ -29,18 +29,19 @@ n*2^ceil(log2 k), without recursion, so nesting costs neither a bracket
 nor a halving of the tolerance per level.  A term that occurs several
 times in the subtree, like the S_1 leaf every signed term carries, is
 bracketed once and counted by its multiplicity; k still counts every
-occurrence.  The cache is one slot per node, and a node's
-only mutable state: the tightest bracket seen so far.  A bracket of
-width w answers every request with w*n <= 1, so a shared node asked at
-several precisions is computed once per refinement, not once per
-precision.  Rational and root leaves are not cached: that numerator
-is one integer division or k-th root, so computing it every time keeps
+occurrence.  The cache is one slot per composite node and oracle leaf,
+and its only mutable state: the tightest bracket seen so far.  A bracket
+of width w answers every request with w*n <= 1, so a shared node asked
+at several precisions is computed once per refinement, not once per
+precision.  Rational and root leaves hold no record: that numerator is
+one integer division or k-th root, so computing it every time keeps
 their brackets independent of what was asked before, and they climb
-without a membership test.  An oracle leaf bisects the grid's cells for
-its bracket, and the integers for a numerator only when it climbs, and
-keeps its tightest bracket.  Leaf membership inside this module
-goes through ``membership_leaf``, so wrapping those two module
-attributes sees every bracket and every membership test.
+without a membership test (a root bracket makes one, of 1).  An oracle
+leaf bisects the grid's cells for its bracket, and the integers for a
+numerator only when it climbs, and keeps its tightest bracket.  Leaf
+membership inside this module goes through ``membership_leaf``, so
+wrapping those two module attributes sees every bracket and every
+membership test.
 
 Every node also carries a ``ceiling``: an integer at or above its
 value, so a non-member, fixed when the node is built, without recursion.
@@ -163,19 +164,19 @@ class Cut:
     Nodes are immutable once built, apart from one cache: `_best`, the
     tightest bracket `bracket` has seen for the node, kept with its
     reach, floor(1/width), the finest precision it serves.  It is
-    replaced by narrower brackets only and never filled on kinds whose
-    `_keeps_best` is false.  `ceiling` is fixed when the node is
-    built: an integer at or above its value, so a non-member,
-    derived from its operands' ceilings, or for an inverse from a member
-    of its operand.  Each subclass supplies `_fresh(n)`, its bracket at
-    precision n computed without the cache, and a `__repr__` giving its
-    s-expression; a leaf also supplies `contains(x)`.  Which bracket a
-    request gets depends on what was asked before; every one is
-    certified and at most 1/n wide, also for concurrent callers, which
-    may each compute a fresh bracket and then get different, equally
-    valid ones.  Identity, not structure, is node equality: value
-    equality of cuts is only ever semidecidable and is deliberately not
-    spelled __eq__.
+    replaced by narrower brackets only; kinds whose `_keeps_best` is
+    false hold none, as `bracket` computes theirs before it would read
+    one.  `ceiling` is fixed when the node is built: an integer at or
+    above its value, so a non-member, derived from its operands'
+    ceilings, or for an inverse from a member of its operand.  Each
+    subclass supplies `_fresh(n)`, its bracket at precision n computed
+    without the cache, and a `__repr__` giving its s-expression; a leaf
+    also supplies `contains(x)`.  Which bracket a request gets depends
+    on what was asked before; every one is certified and at most 1/n
+    wide, also for concurrent callers, which may each compute a fresh
+    bracket and then get different, equally valid ones.  Identity, not
+    structure, is node equality: value equality of cuts is only ever
+    semidecidable and is deliberately not spelled __eq__.
     """
 
     __slots__ = ("_best", "ceiling")
@@ -204,8 +205,9 @@ class Leaf(Cut):
     `largest_member_numerator` over a denominator; a rational leaf knows
     its cell without that numerator and names it in closed form, and an
     oracle leaf bisects the cells.  On rational and root leaves that is
-    one integer division or k-th root and no membership test, so their
-    bracket is computed on every call and never cached.
+    one integer division or k-th root, and on a root leaf one membership
+    test, of 1, so their bracket is computed on every call and they hold
+    no `_best`.
     """
 
     __slots__ = ()
@@ -243,9 +245,8 @@ class RationalCut(Leaf):
     __slots__ = ("bound",)
 
     def __init__(self, bound: PosRational) -> None:
-        # the Cut slots, set here rather than through Cut.__init__: every
-        # signed literal builds two rational leaves
-        self._best = _NO_BRACKET
+        # the Cut slot, set here rather than through Cut.__init__: every
+        # signed literal builds two rational leaves, and they keep no record
         self.ceiling = ceil_int(bound)
         self.bound = bound
 
@@ -274,18 +275,19 @@ class RationalCut(Leaf):
 class RootCut(Leaf):
     """The segment whose value is the degree-th root of the radicand: `root_cut`.
 
-    Its members are the positive rationals whose degree-th power is below
-    the radicand; the degree must pass `check_root_degree`.
+    Its members are the positive rationals whose degree-th power is
+    below the radicand r; the degree must pass `check_root_degree`.  Its
+    witnesses, min(1, r)/2 in and 1 + num(r) out, are settled by
+    arithmetic alone.
     """
 
     __slots__ = ("degree", "radicand")
 
     def __init__(self, degree: int, radicand: PosRational) -> None:
         check_root_degree(degree)
-        # the Cut slots are set here, as on a rational leaf; r <= ceil(r) < 2^b,
+        # the Cut slot is set here, as on a rational leaf; r <= ceil(r) < 2^b,
         # so r^(1/k) < 2^ceil(b/k): O(1), where an integer k-th root would
         # cost every leaf built
-        self._best = _NO_BRACKET
         self.ceiling = 1 << -(-ceil_int(radicand).bit_length() // degree)
         self.degree = degree
         self.radicand = radicand
@@ -296,15 +298,11 @@ class RootCut(Leaf):
         return x.num ** k * r.den < x.den ** k * r.num
 
     def witnesses(self) -> tuple[PosRational, PosRational]:
-        # half of min(1, r) always lands inside; halve further just in case
-        w_in = halve(ONE if ONE < self.radicand else self.radicand)
-        while not membership_leaf(self, w_in):
-            w_in = halve(w_in)
-        # 1 + num(r) overshoots the root for any degree >= 2; double to be sure
-        w_out = PosRational(1 + self.radicand.num)
-        while membership_leaf(self, w_out):
-            w_out = w_out + w_out
-        return w_in, w_out
+        # (1/2)^k < 1 < r, or (r/2)^k < r <= 1; and (1 + num r)^k > num r >= r.
+        # 1 is in exactly when 1 < r, an O(1) test made through
+        # `membership_leaf` so that a wrapper there sees every root bracket
+        w_in = halve(ONE if membership_leaf(self, ONE) else self.radicand)
+        return w_in, PosRational(1 + self.radicand.num)
 
     def largest_member_numerator(self, den: int) -> int:
         """The largest integer y with y/den a member: y^k*r.den < r.num*den^k."""
@@ -320,11 +318,11 @@ class OracleCut(Leaf):
 
     The predicate must describe a genuine initial segment: downward
     closed, no maximum, neither empty nor everything.  The library
-    cannot check that; it only spot-checks the two witnesses, and
-    refuses the leaf (ValueError) unless the inside one is accepted and
-    the outside one rejected.  Its
-    predicate is opaque, so its cell and its largest member numerator
-    are searches, and its tightest bracket is its one cache, kept like a
+    cannot check that; it only spot-checks the two witnesses, through
+    `membership_leaf`, and refuses the leaf (ValueError) unless the
+    inside one is accepted and the outside one rejected.  Its predicate
+    is opaque, so its cell and its largest member numerator are
+    searches, and its tightest bracket is its one cache, kept like a
     composite's.
     """
 
@@ -333,12 +331,12 @@ class OracleCut(Leaf):
 
     def __init__(self, member: Callable[[PosRational], bool],
                  witness_in: PosRational, witness_out: PosRational) -> None:
-        if not member(witness_in):
+        self.member = member
+        if not membership_leaf(self, witness_in):
             raise ValueError(f"witness_in {witness_in} rejected by the predicate")
-        if member(witness_out):
+        if membership_leaf(self, witness_out):
             raise ValueError(f"witness_out {witness_out} accepted by the predicate")
         super().__init__(ceil_int(witness_out))
-        self.member = member
         self.witness_in = witness_in
         self.witness_out = witness_out
 
@@ -650,31 +648,32 @@ def bracket(a: Cut, n: int) -> Bracket:
 
     Returns (lo, hi) with lo a member of a, hi a non-member, and
     hi - lo <= 1/n.  This is the single entry point: it validates n,
-    returns the node's stored bracket when that is already narrow
-    enough, and otherwise asks the node for a fresh bracket and stores
-    it if it is the narrowest yet.  So the bracket returned may be
-    narrower than 1/n, and which one it is depends on earlier requests.
-    Leaves answer on the dyadic grid over their witnesses that bisection
-    would walk, in the cell their largest member numerator picks (a
-    rational leaf names its top cell directly, an oracle bisects the
-    cells); composite nodes
+    brackets a rational or root leaf afresh, returns any other node's
+    stored bracket when that is already narrow enough, and otherwise
+    asks the node for a fresh bracket and stores it if it is the
+    narrowest yet.  So the bracket returned may be narrower than 1/n,
+    and which one it is depends on earlier requests.  Leaves answer on
+    the dyadic grid over their witnesses that bisection would walk, in
+    the cell their largest member numerator picks (a rational leaf names
+    its top cell directly, an oracle bisects the cells); composite nodes
     recurse structurally through this function, so a shared subtree is
     bracketed afresh only when a request is finer than anything it has
     answered.  It never raises PrecisionBudgetExhausted: a difference
     searched for the separation of its operands when it was built.
     """
     check_precision(n)
+    if not a._keeps_best:
+        return a._fresh(n)
     reach, best = a._best
     # the stored bracket serves every n its width allows, whatever was asked
     if n <= reach:
         return best
     result = a._fresh(n)
-    if a._keeps_best:
-        reach = _reach(result)
-        with _STORE:
-            # another thread may have stored a narrower bracket meanwhile
-            if reach > a._best[0]:
-                a._best = (reach, result)
+    reach = _reach(result)
+    with _STORE:
+        # another thread may have stored a narrower bracket meanwhile
+        if reach > a._best[0]:
+            a._best = (reach, result)
     return result
 
 

@@ -320,6 +320,7 @@ class TestClosedFormLeaves:
         cut_module, _, tests = counted
         b = q(999999999999, 10 ** 12)
         oracle = oracle_cut(lambda x: x < b, q(b.num, b.den + 1), b)
+        tests.clear()  # its two witness checks
         got = cut_module.bracket(oracle, n)
         assert tests["OracleCut"] == halvings
         assert got == bisected(oracle, n)
@@ -371,6 +372,41 @@ class TestClosedFormLeaves:
         r = _iroot(t, 3000)
         assert time.perf_counter() - start < 2
         assert r ** 3000 <= t < (r + 1) ** 3000
+
+
+# degrees at both ends of the range and in between; radicands below 1, at
+# 1 and above 1, with numerator and denominator up to 10^12
+root_degrees = st.sampled_from([2, 3, 4999, 5000]) | st.integers(2, 64)
+_ordered_pairs = st.lists(st.integers(1, 10 ** 12), min_size=2, max_size=2,
+                          unique=True).map(sorted)
+root_radicands = (_ordered_pairs.map(lambda p: q(p[0], p[1])) | st.just(q(1))
+                  | _ordered_pairs.map(lambda p: q(p[1], p[0])))
+
+
+class TestRootWitnesses:
+    """A root leaf's witnesses are settled by arithmetic, min(1, r)/2 in and
+    1 + num(r) out; the one membership test left picks the first."""
+
+    @given(root_degrees, root_radicands)
+    @settings(max_examples=100, deadline=None)
+    def test_witnesses_are_in_and_out(self, degree, radicand):
+        leaf = root_cut(degree, radicand)
+        w_in, w_out = leaf.witnesses()
+        assert fr(w_in) == min(1, fr(radicand)) / 2
+        assert w_out == q(1 + radicand.num)
+        assert leaf_member_oracle(leaf, w_in)
+        assert not leaf_member_oracle(leaf, w_out)
+
+    def test_a_root_bracket_makes_one_membership_test(self, counted):
+        cut_module, _, tests = counted
+        cut_module.bracket(root_cut(3, q(5, 2)), 1000)
+        assert tests == {"RootCut": 1}
+
+    def test_high_degree_witnesses_take_one_test(self, counted):
+        # the test is of 1, so 10^300 is never raised to the 5000th power
+        _, _, tests = counted
+        assert RootCut(5000, q(10 ** 300 - 1)).witnesses() == (q(1, 2), q(10 ** 300))
+        assert tests == {"RootCut": 1}
 
 
 # ===========================================================================
@@ -694,12 +730,13 @@ class TestMemoisation:
 
     @pytest.mark.parametrize("leaf",[s_r(q(22, 7)), root_cut(3, q(5, 2))])
     def test_leaves_ignore_earlier_requests(self, leaf):
-        # closed-form leaves keep nothing, so a fine request never changes
-        # the bytes of a later coarse one
+        # closed-form leaves keep nothing, not even an empty record, so a
+        # fine request never changes the bytes of a later coarse one
         for n in (1, 7, 1000, 10 ** 6):
             bracket(leaf, 10 ** 40)
             lo, hi = leaf.witnesses()
             assert bracket(leaf, n) == _grid_bracket(leaf, (lo.num, lo.den), (hi.num, hi.den), n)
+        assert not hasattr(leaf, "_best")
 
     @given(st.sampled_from([2, 3, 5]),
            st.lists(signed_small, min_size=1, max_size=3),
@@ -1246,8 +1283,10 @@ class TestTraceHooks:
 
     def test_leaf_membership_goes_through_the_module(self, counted):
         cut_module, _, tests = counted
-        cut_module.bracket(oracle_cut(lambda x: x < q(3, 2), q(1), q(2)), 1000)
-        assert tests["OracleCut"] > 0
+        oracle = oracle_cut(lambda x: x < q(3, 2), q(1), q(2))
+        assert tests["OracleCut"] == 2  # its witness checks
+        cut_module.bracket(oracle, 1000)
+        assert tests["OracleCut"] > 2
         cut_module.bracket(root_cut(3, q(5, 2)), 1000)  # builds its witnesses
         assert tests["RootCut"] > 0
         before = tests["RootCut"]

@@ -17,10 +17,14 @@ The inputs come from this checkout's `perfbench/workloads.py`, so both
 sides answer the very same queries.  Per workload the report gives the
 number of changed (exit, stdout, stderr) triples and the first few of
 them, each side's `cut.bracket` calls per node kind (counted by a wrapper
-on the module attribute, which every composite recursion goes through) and
-a sha256 of each side's outputs.  Its last line is one JSON object with
-the totals.  The tool gates nothing: it exits 0 whenever both sides ran,
-whatever they answered.
+on the module attribute, which every composite recursion goes through),
+each side's `cut.membership_leaf` calls per leaf kind (counted the same
+way, which every leaf test inside the package goes through) and a sha256
+of each side's outputs.  Its last line is one JSON object with the totals;
+`counts_equal` compares the bracket calls only, and each workload's
+`membership` object holds both sides' membership tests, which a change
+may cut without changing an answer.  The tool gates nothing: it exits 0
+whenever both sides ran, whatever they answered.
 
 Both sides run under the interpreter that runs the tool, so another Python
 needs no flag: `python3.13 tools/equiv.py --against REV` compares the two
@@ -73,28 +77,30 @@ def _at_digits(argv: list) -> list:
 
 
 def _child(src: str, inputs_file: str) -> None:
-    """Run every input through the segreals under `src`; print the outputs
-    and the bracket counts, per workload, as one JSON object."""
+    """Run every input through the segreals under `src`; print the outputs,
+    the bracket counts and the membership test counts, per workload, as one
+    JSON object."""
     sys.path[:0] = [src, str(BENCH)]
     import segreals
     import worker  # the benchmark's builder of held reals
 
     with open(inputs_file) as file:
         data = json.load(file)
-    counts = Counter()
-    plain = segreals.cut.bracket
+    brackets, tests = Counter(), Counter()
+    segreals.cut.bracket = _counting(brackets, segreals.cut.bracket)
+    segreals.cut.membership_leaf = _counting(tests, segreals.cut.membership_leaf)
 
-    def counting(a, n):
-        counts[type(a).__name__] += 1
-        return plain(a, n)
+    def counts() -> dict:
+        """The calls per kind since the last read; the counting starts again."""
+        taken = {"brackets": dict(brackets), "membership": dict(tests)}
+        brackets.clear()
+        tests.clear()
+        return taken
 
-    segreals.cut.bracket = counting
     report = {}
     for name, argvs in data["cli"].items():
-        counts.clear()
         outputs = [_run_cli(segreals.exprcli.cli_main, argv) for argv in argvs]
-        report[name] = {"outputs": outputs, "brackets": dict(counts)}
-    counts.clear()
+        report[name] = {"outputs": outputs, **counts()}
     held = [worker.build(segreals, e, data["cert_n"]) for e in data["held"]]
     outputs = []
     for index, digits, last in data["refine"]:
@@ -104,8 +110,16 @@ def _child(src: str, inputs_file: str) -> None:
             outputs.append([f"traceback:{type(exc).__name__}", "", str(exc)])
         if last:
             held[index] = None  # as the worker lets it go
-    report["refine"] = {"outputs": outputs, "brackets": dict(counts)}
+    report["refine"] = {"outputs": outputs, **counts()}
     json.dump(report, sys.stdout)
+
+
+def _counting(counts: Counter, plain):
+    """`plain(a, arg)`, counting each call by the type name of `a`."""
+    def counting(a, arg):
+        counts[type(a).__name__] += 1
+        return plain(a, arg)
+    return counting
 
 
 def _run_cli(cli_main, argv: list) -> list:
@@ -164,12 +178,15 @@ def _compare(inputs: dict, against: dict, this: dict) -> dict:
         print(f"  sha256  against {hashes['against']}\n          this    {hashes['this']}")
         print(f"  cut.bracket  against  {_kinds(old['brackets'])}")
         print(f"               this     {_kinds(new['brackets'])}")
+        print(f"  cut.membership_leaf  against  {_kinds(old['membership'])}")
+        print(f"                       this     {_kinds(new['membership'])}")
         for i in changed[:SHOWN]:
             print(f"  changed: {_clip(queries[i])}")
             print(f"    against {_clip(old['outputs'][i])}")
             print(f"    this    {_clip(new['outputs'][i])}")
         summary[name] = {"runs": len(queries), "changed": len(changed),
-                         "counts_equal": equal, "sha256": hashes}
+                         "counts_equal": equal, "sha256": hashes,
+                         "membership": {"against": old["membership"], "this": new["membership"]}}
     return summary
 
 
